@@ -61,7 +61,6 @@ from .perm import (
     local_equations_condition,
     longest_element,
     make_perm,
-    multiply,
     zigzag,
 )
 from .poly import (

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .catalan import Partition, fits_staircase
-from .perm import zigzag
-from .rcgraph import NotZigzagError, RcGraph, bottom_rcgraph, inverse_chute_move
+from .rcgraph import RcGraph, bottom_rcgraph, inverse_chute_move, zigzag_index
 
 
 class PartitionBoundsError(ValueError):
@@ -32,22 +31,13 @@ class MalformedBracketingError(ValueError):
     """Not a proper full binary bracketing with matching pairs."""
 
 
-def _zigzag_index(d: RcGraph) -> int:
-    n = d.m - 1
-    if d.permutation() != zigzag(n):
-        raise NotZigzagError(
-            f"not a filling for the zigzag permutation of S_{d.m}"
-        )
-    return n
-
-
 # -- partitions --------------------------------------------------------------
 
 
 def partition_of(d: RcGraph) -> Partition:
     """The partition whose conjugate collects row - 1 over the elbows off
     the anti-diagonal (row-one elbows contribute nothing)."""
-    _zigzag_index(d)
+    zigzag_index(d)
     conj = Partition(tuple(sorted((i - 1 for i, _ in d.elbows() if i > 1),
                                   reverse=True)))
     return conj.conjugate()
@@ -307,7 +297,7 @@ def _parse_tokens(toks: list[tuple[str, int]], letters: int) -> BinaryTree:
 def bracketing_of(d: RcGraph) -> Bracketing:
     """One bracket pair per elbow off the anti-diagonal: the elbow at (i, j)
     opens before letter j and closes after letter n+2-i."""
-    n = _zigzag_index(d)
+    n = zigzag_index(d)
     return Bracketing(
         n + 1, tuple(sorted((j, n + 2 - i) for i, j in d.elbows()))
     )

@@ -154,11 +154,16 @@ def _cmd_biject(args) -> int:
         print("error: --n must be positive", file=sys.stderr)
         return 1
     if args.rc:
-        path = Path(args.rc)
-        if not path.exists():
+        try:
+            text = Path(args.rc).read_text()
+        except FileNotFoundError:
             print(f"error: --rc file {args.rc} not found", file=sys.stderr)
             return 1
-        graphs = [RcGraph.from_text(path.read_text())]
+        except OSError as exc:
+            print(f"error: --rc file {args.rc} cannot be read: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
+        graphs = [RcGraph.from_text(text)]
         if graphs[0].m != args.n + 1:
             print(
                 f"error: --rc grid is for S_{graphs[0].m}, but --n {args.n} "

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .catalan import Partition
 from .perm import zigzag
-from .rcgraph import NotZigzagError, RcGraph, bottom_rcgraph, enumerate_rcgraphs
+from .rcgraph import RcGraph, bottom_rcgraph, enumerate_rcgraphs, zigzag_index
 
 RIGHT_TO_LEFT = "right-to-left"
 LEFT_TO_RIGHT = "left-to-right"
@@ -90,15 +90,6 @@ def _transposed(rows) -> tuple[tuple[int, ...], ...]:
         tuple(rows[r][c] for r in range(len(rows)) if c < len(rows[r]))
         for c in range(len(rows[0]))
     )
-
-
-def _zigzag_index(d: RcGraph) -> int:
-    n = d.m - 1
-    if d.permutation() != zigzag(n):
-        raise NotZigzagError(
-            f"not a filling for the zigzag permutation of S_{d.m}"
-        )
-    return n
 
 
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
@@ -234,7 +225,7 @@ def evacuate(q: Tableau, n: int) -> BiWord:
 def eg_partition_of(d: RcGraph) -> Partition:
     """The partition cut out of the recording tableau by the boxes whose
     label equals their row index (in the transposed, customary form)."""
-    _zigzag_index(d)
+    zigzag_index(d)
     _, q = eg_insert(eg_word(d))
     counts: list[int] = []
     for r, row in enumerate(q.rows, start=1):

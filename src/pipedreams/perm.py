@@ -109,11 +109,6 @@ def dominant_singular(n: int) -> Permutation:
     return Permutation((n + 2,) + tuple(range(2, n + 2)) + (1,))
 
 
-def multiply(u: Permutation, w: Permutation) -> Permutation:
-    """Composition (u * w)(i) = u(w(i))."""
-    return u * w
-
-
 def embed(w: Permutation, m: int) -> Permutation:
     """Extend w with fixed points so that it lives in S_m."""
     if m < w.size:

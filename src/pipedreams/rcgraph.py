@@ -18,7 +18,7 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .perm import Permutation, zigzag
 
@@ -233,6 +233,17 @@ class RcGraph:
         return self.to_text()
 
 
+def zigzag_index(d: RcGraph, min_n: int = 0) -> int:
+    """The n for which d is a filling of the zigzag of n; raises
+    NotZigzagError when d traces another permutation or n < min_n."""
+    n = d.m - 1
+    if n < min_n or d.permutation() != zigzag(n):
+        raise NotZigzagError(
+            f"not a filling for the zigzag permutation of S_{d.m}"
+        )
+    return n
+
+
 def bottom_rcgraph(n: int) -> RcGraph:
     """The filling for the zigzag of n with elbows in row one and crosses in
     every other decidable cell."""
@@ -246,71 +257,79 @@ def bottom_rcgraph(n: int) -> RcGraph:
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     """All pipe dreams for w, without duplicates, in canonical order.
 
-    Depth-first search over the rows from the bottom up, maintaining the
-    strand at each upward column crossing.  A cross is only ever placed on a
-    pair of strands whose targets are inverted in w and that has not crossed
-    yet, so every leaf is reduced; a strand is also abandoned as soon as it
-    sits east of its target column, since strands move weakly east.  A leaf
-    is kept when the full cross budget l(w) has been spent, which forces the
-    traced permutation to equal w.
+    Depth-first search over the rows from the bottom up.  The state entering
+    row r is the tuple of strands crossing upward into it, column by column.
+    ``row_moves(r, below)`` lists every admissible filling of row r over
+    those strands as (strands leaving the top, the row's cells, its cross
+    count); the lists are memoised per (r, below) for the length of one
+    call, and fillings that pass through the same state share the same row
+    tuples.
+
+    A strand is abandoned as soon as it would sit east of its target column,
+    since strands move weakly east.  A cross is placed only on a pair whose
+    targets are inverted in w and that has not crossed yet.  No set of
+    crossed pairs is kept: along the front of the sweep the strands change
+    order only by the adjacent swap of a cross, and a strand enters west of
+    every strand already there, all of which carry larger labels.  So a pair
+    has crossed exactly when the larger strand is west of the smaller, which
+    for the traveler meeting b is traveler > b.  Such a pair is inverted in
+    w, so w(traveler) < w(b), and the two tests together reduce to
+    w(traveler) > w(b).  With every cross on a fresh inverted pair, spending
+    the full budget of l(w) crosses forces the traced permutation to equal
+    w; a move is skipped when it overspends the budget or leaves more
+    crosses than the decidable cells above it can hold.
+
+    Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
+    Every filling of w has l(w) crosses, so two of them first differ at a
+    cell where exactly one has a cross, and that one sorts first.  On the
+    rows, where True > False, it sorts last; hence the reverse sort.
     """
     m = w.size
     target = w.length
     wv = (0,) + w.word
-    must = [[False] * (m + 1) for _ in range(m + 1)]
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            must[a][b] = wv[a] > wv[b]
+    memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    cross_cols: list[list[int]] = [[] for _ in range(m + 1)]
-    crossed: set[tuple[int, int]] = set()
+    def row_moves(r: int, below: tuple[int, ...]) -> list:
+        key = (r, below)
+        moves = memo.get(key)
+        if moves is not None:
+            return moves
+        moves = memo[key] = []
+        width = len(below) + 1
+
+        def fill(j: int, traveler: int, top: tuple[int, ...],
+                 cells: tuple[bool, ...], k: int) -> None:
+            if j == width:
+                # forced anti-diagonal elbow: the traveler exits here
+                if wv[traveler] >= width:
+                    moves.append((top + (traveler,), cells + (False,), k))
+                return
+            b = below[j - 1]
+            # elbow: the traveler exits north at column j, b takes over east
+            if wv[traveler] >= j:
+                fill(j + 1, b, top + (traveler,), cells + (False,), k)
+            # cross: b exits north at column j, the traveler passes over it
+            if wv[traveler] > wv[b] >= j:
+                fill(j + 1, traveler, top + (b,), cells + (True,), k + 1)
+
+        fill(1, r, (), (), 0)
+        return moves
+
+    rows: list[tuple[bool, ...]] = [()] * m
     found: list[RcGraph] = []
 
-    def sweep_row(r: int, j: int, traveler: int, below: list[int],
-                  out: list[int], ncross: int, cells_left: int) -> None:
-        width = m + 1 - r
-        if j == width:
-            # forced anti-diagonal elbow: the traveler exits here
-            if wv[traveler] < width:
-                return
-            out.append(traveler)
-            descend(r - 1, out, ncross, cells_left)
-            out.pop()
-            return
-        b = below[j - 1]
-        # elbow: the traveler exits north at column j, b takes over going east
-        if wv[traveler] >= j:
-            out.append(traveler)
-            sweep_row(r, j + 1, b, below, out, ncross, cells_left - 1)
-            out.pop()
-        # cross: b stays at column j, the traveler passes over it
-        if ncross < target and wv[b] >= j and wv[traveler] > j:
-            pair = (traveler, b) if traveler < b else (b, traveler)
-            if must[pair[0]][pair[1]] and pair not in crossed:
-                crossed.add(pair)
-                cross_cols[r].append(j)
-                out.append(b)
-                sweep_row(r, j + 1, traveler, below, out, ncross + 1, cells_left - 1)
-                out.pop()
-                cross_cols[r].pop()
-                crossed.discard(pair)
-
-    def descend(r: int, incoming: list[int], ncross: int, cells_left: int) -> None:
-        if target - ncross > cells_left:
-            return
+    def descend(r: int, below: tuple[int, ...], ncross: int) -> None:
         if r == 0:
-            if ncross == target:
-                found.append(
-                    RcGraph.from_crosses(
-                        m,
-                        [(i, j) for i in range(1, m + 1) for j in cross_cols[i]],
-                    )
-                )
+            found.append(RcGraph(tuple(rows)))
             return
-        sweep_row(r, 1, r, incoming, [], ncross, cells_left)
+        room = (r - 1) * (2 * m - r) // 2  # decidable cells in rows 1..r-1
+        for top, cells, k in row_moves(r, below):
+            if 0 <= target - (ncross + k) <= room:
+                rows[r - 1] = cells
+                descend(r - 1, top, ncross + k)
 
-    descend(m, [], 0, m * (m - 1) // 2)
-    found.sort(key=RcGraph.sort_key)
+    descend(m, (), 0)
+    found.sort(key=lambda d: d.rows, reverse=True)
     return found
 
 
@@ -372,12 +391,7 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     with the forced crosses in between dropped (a filling for the zigzag of
     k-1).  Both are reindexed to self-contained staircases.
     """
-    m = d.m
-    n = m - 1
-    if n < 1 or d.permutation() != zigzag(n):
-        raise NotZigzagError(
-            f"not a filling for the zigzag permutation of S_{m}"
-        )
+    n = zigzag_index(d, min_n=1)
     k = max(r for r in range(1, n + 1) if not d.is_cross(r, 1))
     for r in range(1, k):
         for c in range(2, n + 3 - k):

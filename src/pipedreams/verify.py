@@ -1,8 +1,10 @@
 """End-to-end verification checks behind the command line ``verify``.
 
 Each check mirrors one acceptance property of the library: all of them are
-exact (no tolerances), and each returns a CheckResult carrying a pass flag
-and a short human-readable detail line.
+exact (no tolerances), and each returns its list of failures together with
+the short human-readable detail line reported when that list is empty.
+``run_checks`` turns these into CheckResults; a check that raises is
+reported as a failure naming the exception, and the run carries on.
 """
 
 from __future__ import annotations
@@ -59,13 +61,7 @@ class CheckResult:
     detail: str
 
 
-def _result(ident, name, suite, failures, detail_ok):
-    if failures:
-        return CheckResult(ident, name, suite, False, "; ".join(failures))
-    return CheckResult(ident, name, suite, True, detail_ok)
-
-
-def check_figure_family() -> CheckResult:
+def check_figure_family() -> tuple[list[str], str]:
     """The five fillings of 1,4,3,2 and their monomials."""
     graphs = enumerate_rcgraphs(make_perm((1, 4, 3, 2)))
     expected = Counter({(0, 2, 1): 1, (1, 1, 1): 1, (2, 0, 1): 1, (1, 2): 1, (2, 1): 1})
@@ -75,11 +71,10 @@ def check_figure_family() -> CheckResult:
     got = Counter(g.monomial() for g in graphs)
     if got != expected:
         failures.append(f"monomial multiset {dict(got)} != {dict(expected)}")
-    return _result("1", "five fillings of 1,4,3,2", "prop1", failures,
-                   "5 fillings with the expected monomials")
+    return failures, "5 fillings with the expected monomials"
 
 
-def check_specialization(max_n: int) -> CheckResult:
+def check_specialization(max_n: int) -> tuple[list[str], str]:
     """Principal specialization equals q^binom(n,3) C_n(q), with the
     turn-row recurrence confirmed along the way."""
     failures = []
@@ -89,11 +84,10 @@ def check_specialization(max_n: int) -> CheckResult:
             failures.append(f"n={n}: specialization mismatch")
         if not report.recurrence_ok:
             failures.append(f"n={n}: recurrence restatement mismatch")
-    return _result("2", "q-Catalan specialization identity", "prop1", failures,
-                   f"exact for n=1..{max_n}")
+    return failures, f"exact for n=1..{max_n}"
 
 
-def check_counting(max_n: int) -> CheckResult:
+def check_counting(max_n: int) -> tuple[list[str], str]:
     """The zigzag of n has exactly catalan(n) fillings."""
     failures = []
     counts = []
@@ -102,11 +96,10 @@ def check_counting(max_n: int) -> CheckResult:
         counts.append(got)
         if got != catalan(n):
             failures.append(f"n={n}: {got} fillings, expected {catalan(n)}")
-    return _result("3", "Catalan counting of zigzag fillings", "prop1", failures,
-                   f"counts {counts} for n=1..{max_n}")
+    return failures, f"counts {counts} for n=1..{max_n}"
 
 
-def check_oracle(zig_max: int = 5) -> CheckResult:
+def check_oracle(zig_max: int = 5) -> tuple[list[str], str]:
     """Pipe dream sum equals the divided-difference construction."""
     failures = []
     for word in all_words(range(1, 5)):
@@ -117,11 +110,10 @@ def check_oracle(zig_max: int = 5) -> CheckResult:
         w = zigzag(n)
         if schubert_polynomial(w) != schubert_via_divided_differences(w):
             failures.append(f"zigzag mismatch at n={n}")
-    return _result("4", "divided-difference oracle equivalence", "prop1", failures,
-                   f"all of S_4 and zigzag n<={zig_max}")
+    return failures, f"all of S_4 and zigzag n<={zig_max}"
 
 
-def check_partition_bijection(max_n: int) -> CheckResult:
+def check_partition_bijection(max_n: int) -> tuple[list[str], str]:
     """partition_of is a bijection onto the staircase partitions, with
     rcgraph_of as inverse and the weight law binom(n+1,3) - |p|."""
     failures = []
@@ -145,11 +137,10 @@ def check_partition_bijection(max_n: int) -> CheckResult:
         for p in targets:
             if partition_of(rcgraph_of(p, n)) != p:
                 failures.append(f"n={n}: round trip fails at {p}")
-    return _result("5", "elementary partition bijection", "bijections", failures,
-                   f"bijective with inverse and weight law for n<={max_n}")
+    return failures, f"bijective with inverse and weight law for n<={max_n}"
 
 
-def check_dyck_transport(max_n: int) -> CheckResult:
+def check_dyck_transport(max_n: int) -> tuple[list[str], str]:
     """Dyck path coding round-trips and carries the area statistic."""
     failures = []
     for n in range(1, max_n + 1):
@@ -167,11 +158,10 @@ def check_dyck_transport(max_n: int) -> CheckResult:
                     x += 1
             if area != comb(n, 2) - p.size:
                 failures.append(f"n={n}: area transport fails at {p}")
-    return _result("5d", "Dyck path coding", "bijections", failures,
-                   f"round trips and area transport for n<={max_n}")
+    return failures, f"round trips and area transport for n<={max_n}"
 
 
-def check_eg(max_n: int, evac_max: int = 5) -> CheckResult:
+def check_eg(max_n: int, evac_max: int = 5) -> tuple[list[str], str]:
     """Insertion-tableau constancy, recording-label rows, agreement with the
     elementary bijection, and the evacuation round trip."""
     failures = []
@@ -201,12 +191,11 @@ def check_eg(max_n: int, evac_max: int = 5) -> CheckResult:
     report = reading_direction_report(3)
     if report["usable"] != ["right-to-left"]:
         failures.append(f"reading-direction diagnostic: usable={report['usable']}")
-    return _result("6", "Edelman-Greene correspondence", "eg", failures,
-                   f"constant insertion tableau and round trips for n<={max_n}; "
-                   "right-to-left is the single usable reading direction")
+    return failures, (f"constant insertion tableau and round trips for n<={max_n}; "
+                      "right-to-left is the single usable reading direction")
 
 
-def check_transpose(max_n: int) -> CheckResult:
+def check_transpose(max_n: int) -> tuple[list[str], str]:
     """Transposing a filling reverses its bracketing."""
     failures = []
     for n in range(1, max_n + 1):
@@ -216,11 +205,10 @@ def check_transpose(max_n: int) -> CheckResult:
                 failures.append(f"n={n}: bracketing has {len(b.pairs)} pairs")
             if str(bracketing_of(d.transpose())) != str(reverse_bracketing(b)):
                 failures.append(f"n={n}: transpose is not string reversal")
-    return _result("7", "transposition reverses bracketings", "transpose", failures,
-                   f"checked every filling for n<={max_n}")
+    return failures, f"checked every filling for n<={max_n}"
 
 
-def check_split(max_n: int) -> CheckResult:
+def check_split(max_n: int) -> tuple[list[str], str]:
     """The turn-row decomposition satisfies the exact weight identity."""
     failures = []
     for n in range(1, max_n + 1):
@@ -236,11 +224,10 @@ def check_split(max_n: int) -> CheckResult:
             )
             if d.weight() != expected:
                 failures.append(f"n={n}: weight identity fails at k={k}")
-    return _result("8", "split weight identity", "prop1", failures,
-                   f"exact for every filling with n<={max_n}")
+    return failures, f"exact for every filling with n<={max_n}"
 
 
-def check_multiplicity(max_n: int) -> CheckResult:
+def check_multiplicity(max_n: int) -> tuple[list[str], str]:
     """Multiplicity of the singular family equals the Catalan numbers."""
     failures = []
     for n in range(1, max_n + 1):
@@ -249,11 +236,10 @@ def check_multiplicity(max_n: int) -> CheckResult:
             failures.append(f"n={n}: local-equations condition fails")
         if schubert_multiplicity_at_identity(w) != catalan(n):
             failures.append(f"n={n}: multiplicity is not catalan({n})")
-    return _result("9", "Catalan multiplicity", "prop1", failures,
-                   f"equals catalan(n) for n<={max_n}")
+    return failures, f"equals catalan(n) for n<={max_n}"
 
 
-def check_q_catalan(cross_max: int = 10, one_max: int = 12) -> CheckResult:
+def check_q_catalan(cross_max: int = 10, one_max: int = 12) -> tuple[list[str], str]:
     """Recurrence and partition-sum routes agree; value at q=1 is Catalan."""
     failures = []
     for n in range(cross_max + 1):
@@ -262,8 +248,7 @@ def check_q_catalan(cross_max: int = 10, one_max: int = 12) -> CheckResult:
     for n in range(one_max + 1):
         if q_catalan(n).at_one() != catalan(n):
             failures.append(f"n={n}: value at q=1 differs from catalan(n)")
-    return _result("10", "q-Catalan cross-method", "prop1", failures,
-                   f"routes agree for n<={cross_max}, q=1 values for n<={one_max}")
+    return failures, f"routes agree for n<={cross_max}, q=1 values for n<={one_max}"
 
 
 def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
@@ -271,19 +256,32 @@ def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
     q-Catalan bounds never drop below their stated 10 and 12."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    results = [
-        check_figure_family(),
-        check_specialization(max_n),
-        check_counting(max_n),
-        check_oracle(min(max_n, 5)),
-        check_partition_bijection(max_n),
-        check_dyck_transport(max_n),
-        check_eg(max_n, evac_max=min(max_n, 5)),
-        check_transpose(max_n),
-        check_split(max_n),
-        check_multiplicity(max_n),
-        check_q_catalan(max(10, max_n), max(12, max_n)),
+    plan = [
+        ("1", "five fillings of 1,4,3,2", "prop1", check_figure_family, ()),
+        ("2", "q-Catalan specialization identity", "prop1",
+         check_specialization, (max_n,)),
+        ("3", "Catalan counting of zigzag fillings", "prop1", check_counting, (max_n,)),
+        ("4", "divided-difference oracle equivalence", "prop1",
+         check_oracle, (min(max_n, 5),)),
+        ("5", "elementary partition bijection", "bijections",
+         check_partition_bijection, (max_n,)),
+        ("5d", "Dyck path coding", "bijections", check_dyck_transport, (max_n,)),
+        ("6", "Edelman-Greene correspondence", "eg", check_eg, (max_n, min(max_n, 5))),
+        ("7", "transposition reverses bracketings", "transpose",
+         check_transpose, (max_n,)),
+        ("8", "split weight identity", "prop1", check_split, (max_n,)),
+        ("9", "Catalan multiplicity", "prop1", check_multiplicity, (max_n,)),
+        ("10", "q-Catalan cross-method", "prop1",
+         check_q_catalan, (max(10, max_n), max(12, max_n))),
     ]
-    if suite != "all":
-        results = [r for r in results if r.suite == suite]
+    results = []
+    for ident, name, check_suite, check, args in plan:
+        if suite not in ("all", check_suite):
+            continue
+        try:
+            failures, detail = check(*args)
+        except Exception as exc:
+            failures, detail = [f"raised {type(exc).__name__}: {exc}"], ""
+        results.append(CheckResult(ident, name, check_suite, not failures,
+                                   "; ".join(failures) or detail))
     return results

@@ -12,7 +12,6 @@ from pipedreams.perm import (
     local_equations_condition,
     longest_element,
     make_perm,
-    multiply,
     zigzag,
 )
 
@@ -120,7 +119,7 @@ class TestDominantSingular:
 
     def test_longest_times_it_is_embedded_zigzag(self):
         for n in range(1, 7):
-            lhs = multiply(longest_element(n + 2), dominant_singular(n))
+            lhs = longest_element(n + 2) * dominant_singular(n)
             assert lhs == embed(zigzag(n), n + 2)
 
 
@@ -138,7 +137,7 @@ class TestGroupOperations:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
-            multiply(identity(3), identity(4))
+            identity(3) * identity(4)
 
     def test_longest_element(self):
         assert longest_element(4).word == (4, 3, 2, 1)

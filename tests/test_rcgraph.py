@@ -1,9 +1,10 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
 from pipedreams.perm import identity, make_perm, zigzag
+from pipedreams.poly import schubert_polynomial, schubert_via_divided_differences
 from pipedreams.rcgraph import (
     ChuteMoveError,
     CrossOnAntiDiagonalError,
@@ -131,6 +132,45 @@ class TestEnumerate:
     def test_deterministic_order(self):
         w = make_perm([2, 1, 4, 3])
         assert enumerate_rcgraphs(w) == enumerate_rcgraphs(w)
+
+
+def brute_force_fillings(w):
+    """Every l(w)-subset of the decidable cells that traces w."""
+    m = w.size
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1 - i)]
+    found = []
+    for crosses in combinations(cells, w.length):
+        d = RcGraph.from_crosses(m, crosses)
+        try:
+            if d.permutation() == w:
+                found.append(d)
+        except NotReducedError:
+            pass
+    return found
+
+
+class TestEnumerateOracles:
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_brute_force(self, m):
+        for word in permutations(range(1, m + 1)):
+            w = make_perm(word)
+            assert set(enumerate_rcgraphs(w)) == set(brute_force_fillings(w)), w
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_order_is_sort_key_order(self, m):
+        for word in permutations(range(1, m + 1)):
+            got = enumerate_rcgraphs(make_perm(word))
+            assert got == sorted(got, key=RcGraph.sort_key), word
+
+    def test_pipe_dream_sum_matches_divided_differences_s5(self):
+        for word in permutations(range(1, 6)):
+            w = make_perm(word)
+            assert schubert_polynomial(w) == schubert_via_divided_differences(w), w
+
+    def test_pipe_dream_sum_matches_divided_differences_zigzag(self):
+        for n in range(0, 8):
+            w = zigzag(n)
+            assert schubert_polynomial(w) == schubert_via_divided_differences(w), n
 
 
 class TestChuteMoves:
