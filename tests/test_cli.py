@@ -123,3 +123,88 @@ def test_biject_rc_file(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out == ('{"n":3,"to":"partition","items":['
                    '{"rc":{"m":4,"crosses":[[2,1],[2,2],[3,1]]},"partition":[]}]}\n')
+
+
+CATALAN_Q_5 = (
+    "1 + 4*q + 6*q^2 + 7*q^3 + 7*q^4 + 5*q^5 + 5*q^6 + 3*q^7 + 2*q^8"
+    " + q^9 + q^10\n"
+)
+
+BIJECT_DYCK = (
+    '{"n":3,"to":"dyck","items":['
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[2,2]]},"dyck":"URURUR"},'
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[3,1]]},"dyck":"URUURR"},'
+    '{"rc":{"m":4,"crosses":[[1,2],[2,1],[2,2]]},"dyck":"UURRUR"},'
+    '{"rc":{"m":4,"crosses":[[1,3],[2,1],[3,1]]},"dyck":"UURURR"},'
+    '{"rc":{"m":4,"crosses":[[2,1],[2,2],[3,1]]},"dyck":"UUURRR"}]}\n'
+)
+
+BIJECT_TREE = (
+    '{"n":3,"to":"tree","items":['
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[2,2]]},'
+    '"bracketing":"(((1 2)3)4)","tree":[[[1,2],3],4]},'
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[3,1]]},'
+    '"bracketing":"((1(2 3))4)","tree":[[1,[2,3]],4]},'
+    '{"rc":{"m":4,"crosses":[[1,2],[2,1],[2,2]]},'
+    '"bracketing":"((1 2)(3 4))","tree":[[1,2],[3,4]]},'
+    '{"rc":{"m":4,"crosses":[[1,3],[2,1],[3,1]]},'
+    '"bracketing":"(1((2 3)4))","tree":[1,[[2,3],4]]},'
+    '{"rc":{"m":4,"crosses":[[2,1],[2,2],[3,1]]},'
+    '"bracketing":"(1(2(3 4)))","tree":[1,[2,[3,4]]]}]}\n'
+)
+
+BIJECT_EG = (
+    '{"n":3,"to":"eg","items":['
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[2,2]]},'
+    '"p":[[3,4],[4]],"q":[[1,1],[2]],"partition":[2,1]},'
+    '{"rc":{"m":4,"crosses":[[1,2],[1,3],[3,1]]},'
+    '"p":[[3,4],[4]],"q":[[1,1],[3]],"partition":[2]},'
+    '{"rc":{"m":4,"crosses":[[1,2],[2,1],[2,2]]},'
+    '"p":[[3,4],[4]],"q":[[1,2],[2]],"partition":[1,1]},'
+    '{"rc":{"m":4,"crosses":[[1,3],[2,1],[3,1]]},'
+    '"p":[[3,4],[4]],"q":[[1,2],[3]],"partition":[1]},'
+    '{"rc":{"m":4,"crosses":[[2,1],[2,2],[3,1]]},'
+    '"p":[[3,4],[4]],"q":[[2,2],[3]],"partition":[]}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("catalan", "--n", "5"), "42\n"),
+        (("catalan", "--n", "5", "--q"), CATALAN_Q_5),
+        (("catalan", "--n", "5", "--q", "--via", "recurrence"), CATALAN_Q_5),
+        (("catalan", "--n", "5", "--q", "--via", "partitions"), CATALAN_Q_5),
+        (("multiplicity", "--n", "3"), "5\n"),
+        (("biject", "--n", "3", "--to", "dyck"), BIJECT_DYCK),
+        (("biject", "--n", "3", "--to", "tree"), BIJECT_TREE),
+        (("biject", "--n", "3", "--to", "eg"), BIJECT_EG),
+    ],
+    ids=["catalan", "catalan-q", "catalan-q-recurrence", "catalan-q-partitions",
+         "multiplicity", "biject-dyck", "biject-tree", "biject-eg"],
+)
+def test_golden_stdout_more_commands(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("schubert", "--perm", "1,1,2"),
+         "error: [1, 1, 2] is not a rearrangement of 1..3\n"),
+        (("enumerate", "--perm", "1,x"),
+         "error: cannot parse permutation from '1,x'\n"),
+        (("catalan", "--n", "-1"), "error: --n must be nonnegative\n"),
+        (("catalan", "--n", "5", "--via", "partitions"),
+         "error: --via requires --q\n"),
+    ],
+    ids=["perm-repeated-entry", "perm-not-a-number", "catalan-negative",
+         "via-without-q"],
+)
+def test_bad_input_exits_1_with_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == message
