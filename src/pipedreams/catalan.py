@@ -83,11 +83,18 @@ def catalan(n: int) -> int:
 @lru_cache(maxsize=None)
 def q_catalan(n: int) -> QPolynomial:
     """Carlitz-Riordan q-Catalan polynomial, by the defining recurrence
-    C_n(q) = sum_k q^k C_{n-k-1}(q) C_k(q) with C_0(q) = 1."""
+    C_n(q) = sum_k q^k C_{n-k-1}(q) C_k(q) with C_0(q) = 1.
+
+    The smaller values are filled into the cache bottom-up first, so every
+    inner call is answered from the cache or recurses one level only; the
+    stack depth stays flat for any n.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return QPolynomial.one()
+    for k in range(n):
+        q_catalan(k)
     total = QPolynomial.zero()
     for k in range(n):
         total = total + QPolynomial.q_power(k) * q_catalan(n - k - 1) * q_catalan(k)

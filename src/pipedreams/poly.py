@@ -8,6 +8,12 @@ from the pipe dream sum (one monomial per filling) or, independently, from
 divided differences applied to the staircase monomial of the longest
 element; the two routes share only the raw arithmetic, so they cross-check
 each other.
+
+Each divided difference is exact by construction and checked anyway: one
+fused pass over the terms builds the quotient Q and the difference
+f - s_i f, and ``_check_remainder`` confirms f - s_i f = (x_i - x_{i+1}) Q
+coefficient by coefficient, without building the divisor, the swapped
+polynomial or a generic product.
 """
 
 from __future__ import annotations
@@ -24,6 +30,30 @@ def _strip(exp: Iterable[int]) -> tuple[int, ...]:
     while end and exp[end - 1] == 0:
         end -= 1
     return exp[:end]
+
+
+def _check_remainder(
+    rest: dict[tuple[int, ...], int],
+    quotient: Mapping[tuple[int, ...], int],
+    i: int,
+) -> None:
+    """Subtract (x_i - x_{i+1}) * quotient from ``rest`` in place and raise
+    ArithmeticError unless every entry cancels.
+
+    ``rest`` holds f - s_i f; both maps key exponent tuples padded to at
+    least i + 1 entries, so shifting position i - 1 or i keeps them aligned.
+    """
+    ai, bi = i - 1, i
+    for key, coef in quotient.items():
+        if not coef:
+            continue
+        head, a, b, tail = key[:ai], key[ai], key[bi], key[bi + 1:]
+        times_xi = head + (a + 1, b) + tail
+        rest[times_xi] = rest.get(times_xi, 0) - coef
+        times_xj = head + (a, b + 1) + tail
+        rest[times_xj] = rest.get(times_xj, 0) + coef
+    if any(rest.values()):
+        raise ArithmeticError("divided difference quotient failed the remainder check")
 
 
 class QPolynomial:
@@ -237,38 +267,43 @@ class SparsePolynomial:
     def divided_difference(self, i: int) -> SparsePolynomial:
         """Apply (f - s_i f) / (x_i - x_{i+1}) with s_i swapping x_i, x_{i+1}.
 
-        Each term pairs with its swap into an antisymmetric difference that
-        divides termwise into a geometric block; the assembled quotient is
-        then multiplied back and compared against the dividend, so an
-        inexact result can never escape.
+        One pass over the terms does the division and the check.  A term
+        x_i^a x_{i+1}^b with a != b pairs with its swap into an
+        antisymmetric difference that divides termwise into a geometric
+        block of the quotient Q; the same pass enters +coef at the term and
+        -coef at its swap into a remainder map, which then holds f - s_i f.
+        ``_check_remainder`` subtracts (x_i - x_{i+1}) Q from that map and
+        raises ArithmeticError unless it cancels to zero, so an inexact
+        result can never escape.  Exponent tuples are padded to length
+        i + 1 inside the pass; only the returned quotient is stripped.
         """
         ai, bi = i - 1, i
-        data: dict[tuple[int, ...], int] = {}
+        pad = (0,) * (i + 1)
+        quotient: dict[tuple[int, ...], int] = {}
+        rest: dict[tuple[int, ...], int] = {}
         for exp, coef in self.terms.items():
-            a = exp[ai] if ai < len(exp) else 0
-            b = exp[bi] if bi < len(exp) else 0
+            if len(exp) <= bi:
+                exp = exp + pad[len(exp):]
+            a, b = exp[ai], exp[bi]
             if a == b:
                 continue
-            lo = min(a, b)
-            sign = 1 if a > b else -1
-            d = abs(a - b)
-            base = list(exp) + [0] * (bi + 1 - len(exp))
-            for t in range(d):
-                e = list(base)
-                e[ai] = lo + d - 1 - t
-                e[bi] = lo + t
-                key = _strip(e)
-                total = data.get(key, 0) + sign * coef
-                if total:
-                    data[key] = total
-                else:
-                    del data[key]
-        quotient = SparsePolynomial.__new__(SparsePolynomial)
-        quotient.terms = data
-        divisor = SparsePolynomial.variable(i) - SparsePolynomial.variable(i + 1)
-        if divisor * quotient != self - self.swap_variables(i):
-            raise ArithmeticError("divided difference quotient failed the remainder check")
-        return quotient
+            head, tail = exp[:ai], exp[bi + 1:]
+            rest[exp] = rest.get(exp, 0) + coef
+            swapped = head + (b, a) + tail
+            rest[swapped] = rest.get(swapped, 0) - coef
+            if a < b:
+                a, b, coef = b, a, -coef
+            for t in range(a - b):
+                key = head + (a - 1 - t, b + t) + tail
+                quotient[key] = quotient.get(key, 0) + coef
+        _check_remainder(rest, quotient, i)
+        out = SparsePolynomial.__new__(SparsePolynomial)
+        out.terms = {
+            key if key[-1] else _strip(key): coef
+            for key, coef in quotient.items()
+            if coef
+        }
+        return out
 
     def principal_specialization(self) -> QPolynomial:
         """Substitute x_i -> q^(i-1)."""

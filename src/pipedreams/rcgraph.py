@@ -170,22 +170,23 @@ class RcGraph:
         traveler and makes the lower strand the new traveler.  Raises
         NotReducedError as soon as a pair of strands crosses twice.
         """
-        m = self.m
+        rows = self.rows
+        m = len(rows)
         cols: list[int] = []
-        crossed: set[tuple[int, int]] = set()
         for r in range(m, 0, -1):
             traveler = r
-            width = m + 1 - r
+            row = rows[r - 1]
             out: list[int] = []
-            for j in range(1, width):
-                below = cols[j - 1]
-                if self.rows[r - 1][j - 1]:
-                    pair = (traveler, below) if traveler < below else (below, traveler)
-                    if pair in crossed:
+            for j in range(m - r):
+                below = cols[j]
+                if row[j]:
+                    # Strands at the front change order only by adjacent
+                    # swaps, so traveler > below means the pair already
+                    # crossed once.
+                    if traveler > below:
                         raise NotReducedError(
-                            f"strands {pair[0]} and {pair[1]} cross twice"
+                            f"strands {below} and {traveler} cross twice"
                         )
-                    crossed.add(pair)
                     out.append(below)
                 else:
                     out.append(traveler)

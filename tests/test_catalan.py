@@ -1,3 +1,5 @@
+import inspect
+import sys
 from math import comb
 
 import pytest
@@ -66,6 +68,20 @@ class TestQCatalan:
     def test_cross_method(self):
         for n in range(11):
             assert q_catalan(n) == q_catalan_via_partitions(n)
+
+    def test_cold_cache_keeps_the_stack_flat(self):
+        # With a cold cache a recursive fill would nest about n frames deep;
+        # the bottom-up fill nests at most two.
+        expected = q_catalan_via_partitions(8)
+        limit = sys.getrecursionlimit()
+        q_catalan.cache_clear()
+        sys.setrecursionlimit(len(inspect.stack()) + 20)
+        try:
+            top = q_catalan(30)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert top.at_one() == catalan(30)
+        assert q_catalan(8) == expected
 
     def test_value_at_one(self):
         for n in range(13):

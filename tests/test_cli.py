@@ -208,3 +208,32 @@ def test_bad_input_exits_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "--perm", "1,2,3,4,5,6,7,8,10,9"),
+         "error: --perm of size 10 exceeds the limit of 9\n"),
+        (("schubert", "--perm", "10,9,8,7,6,5,4,3,2,1", "--oracle"),
+         "error: --perm of size 10 exceeds the limit of 9\n"),
+        (("specialize", "--perm", "1,10,9,8,7,6,5,4,3,2"),
+         "error: --perm of size 10 exceeds the limit of 9\n"),
+        (("catalan", "--n", "5001"), "error: --n 5001 exceeds the limit of 5000\n"),
+        (("catalan", "--n", "2000", "--q"),
+         "error: --q --n 2000 exceeds the limit of 60\n"),
+        (("catalan", "--n", "14", "--q", "--via", "partitions"),
+         "error: --via partitions --n 14 exceeds the limit of 13\n"),
+        (("biject", "--n", "11", "--to", "partition"),
+         "error: --n 11 exceeds the limit of 10\n"),
+        (("multiplicity", "--n", "13"), "error: --n 13 exceeds the limit of 12\n"),
+        (("verify", "--max-n", "10"), "error: --max-n 10 exceeds the limit of 9\n"),
+    ],
+    ids=["enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
+         "catalan-q-n", "catalan-partitions-n", "biject-n", "multiplicity-n",
+         "verify-max-n"],
+)
+def test_oversized_input_is_refused_up_front(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == message

@@ -8,6 +8,7 @@ from pipedreams.perm import identity, longest_element, make_perm, zigzag, embed
 from pipedreams.poly import (
     QPolynomial,
     SparsePolynomial,
+    _check_remainder,
     schubert_polynomial,
     schubert_via_divided_differences,
 )
@@ -54,6 +55,80 @@ class TestSparsePolynomial:
         )
         assert str(SparsePolynomial.zero()) == "0"
         assert str(SparsePolynomial.one()) == "1"
+
+
+class TestDividedDifferenceKernel:
+    def test_matches_sympy_exact_quotient(self):
+        pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        xs = sympy.symbols("x1:5")
+        exponents = st.tuples(*[st.integers(0, 3)] * 4)
+        polys = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+
+        @settings(max_examples=100, deadline=None)
+        @given(terms=polys, i=st.integers(1, 3))
+        def check(terms, i):
+            f = sum(
+                (c * sympy.prod(x**e for x, e in zip(xs, exp)) for exp, c in terms.items()),
+                sympy.Integer(0),
+            )
+            xi, xj = xs[i - 1], xs[i]
+            swapped = f.subs({xi: xj, xj: xi}, simultaneous=True)
+            exact = sympy.Poly(sympy.cancel((f - swapped) / (xi - xj)), *xs)
+            expected = SparsePolynomial(
+                {exp: int(c) for exp, c in exact.terms()}
+            )
+            assert SparsePolynomial(terms).divided_difference(i) == expected
+
+        check()
+
+    def test_pipe_dream_sum_matches_both_descent_strategies(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        words = st.integers(1, 6).flatmap(
+            lambda m: st.permutations(range(1, m + 1))
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(word=words)
+        def check(word):
+            w = make_perm(word)
+            expected = schubert_polynomial(w)
+            assert schubert_via_divided_differences(w, "first") == expected
+            assert schubert_via_divided_differences(w, "last") == expected
+
+        check()
+
+
+# (f - s_i f, exact quotient, i), exponent tuples padded to length >= i + 1:
+# x1^3 - x2^3 = (x1 - x2)(x1^2 + x1 x2 + x2^2) and
+# x1 x2^2 x4 - x1 x3^2 x4 = (x2 - x3)(x1 x2 x4 + x1 x3 x4).
+REMAINDER_CASES = [
+    ({(3, 0): 1, (0, 3): -1}, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, 1),
+    ({(1, 2, 0, 1): 1, (1, 0, 2, 1): -1}, {(1, 1, 0, 1): 1, (1, 0, 1, 1): 1}, 2),
+]
+
+
+class TestRemainderCheck:
+    @pytest.mark.parametrize("rest, quotient, i", REMAINDER_CASES)
+    def test_exact_quotient_passes(self, rest, quotient, i):
+        rest = dict(rest)
+        _check_remainder(rest, quotient, i)
+        assert not any(rest.values())
+
+    @pytest.mark.parametrize("rest, quotient, i", REMAINDER_CASES)
+    @pytest.mark.parametrize("delta", (1, -1))
+    def test_off_by_one_coefficient_raises(self, rest, quotient, i, delta):
+        for key in quotient:
+            wrong = dict(quotient)
+            wrong[key] += delta
+            with pytest.raises(ArithmeticError, match="remainder check"):
+                _check_remainder(dict(rest), wrong, i)
 
 
 class TestQPolynomial:

@@ -1,9 +1,9 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
-from pipedreams.perm import identity, make_perm, zigzag
+from pipedreams.perm import Permutation, identity, make_perm, zigzag
 from pipedreams.poly import schubert_polynomial, schubert_via_divided_differences
 from pipedreams.rcgraph import (
     ChuteMoveError,
@@ -38,6 +38,37 @@ def catalan_closed_form(n):
     return comb(2 * n, n) // (n + 1)
 
 
+def traced_with_crossed_set(d):
+    """Reference strand tracing that remembers every crossed pair."""
+    m = d.m
+    cols = []
+    crossed = set()
+    for r in range(m, 0, -1):
+        traveler = r
+        out = []
+        for j in range(1, m + 1 - r):
+            below = cols[j - 1]
+            if d.rows[r - 1][j - 1]:
+                pair = (min(traveler, below), max(traveler, below))
+                if pair in crossed:
+                    raise NotReducedError(f"strands {pair[0]} and {pair[1]} cross twice")
+                crossed.add(pair)
+                out.append(below)
+            else:
+                out.append(traveler)
+                traveler = below
+        out.append(traveler)
+        cols = out
+    return Permutation(tuple(cols)).inverse()
+
+
+def traced_or_error(trace, d):
+    try:
+        return trace(d)
+    except NotReducedError as exc:
+        return f"NotReducedError: {exc}"
+
+
 class TestValidate:
     def test_figure_family_traces_1432(self):
         w = make_perm([1, 4, 3, 2])
@@ -60,6 +91,15 @@ class TestValidate:
                 except NotReducedError:
                     continue
                 assert traced != w
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_permutation_matches_crossed_set_reference(self, m):
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1 - i)]
+        for bits in product((False, True), repeat=len(cells)):
+            d = RcGraph.from_crosses(m, [c for c, b in zip(cells, bits) if b])
+            assert traced_or_error(RcGraph.permutation, d) == traced_or_error(
+                traced_with_crossed_set, d
+            ), d.rows
 
     def test_cross_on_antidiagonal_rejected(self):
         with pytest.raises(CrossOnAntiDiagonalError):
