@@ -45,8 +45,6 @@ def _check_remainder(
     """
     ai, bi = i - 1, i
     for key, coef in quotient.items():
-        if not coef:
-            continue
         head, a, b, tail = key[:ai], key[ai], key[bi], key[bi + 1:]
         times_xi = head + (a + 1, b) + tail
         rest[times_xi] = rest.get(times_xi, 0) - coef
