@@ -15,7 +15,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       working near 7,150)
   catalan --n with --q  60 by the recurrence (7.2 s), 13 with --via
       partitions (2.6 s; 14 takes 11 s and 630 MB)
-  biject --n  10; --to eg is the slowest target, 7.0 s
+  biject --n  10 for the whole family (not with --rc); --to eg is the
+      slowest target, 7.0 s
   multiplicity --n  12, 2.3 s (13 takes 10 s and 440 MB)
   verify --max-n  9, 10 s
 """
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("biject", help="apply a Catalan bijection to the zigzag family")
-    p.add_argument("--n", type=int, required=True, help=f"at most {MAX_BIJECT_N}")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"at most {MAX_BIJECT_N} unless --rc is given")
     p.add_argument("--to", choices=("partition", "dyck", "tree", "eg"), required=True)
     p.add_argument("--rc", help="text-format pipe dream file; defaults to the whole family")
     p.set_defaults(func=_cmd_biject)
@@ -198,7 +200,6 @@ def _cmd_biject(args) -> int:
     if args.n < 1:
         print("error: --n must be positive", file=sys.stderr)
         return 1
-    _check_limit("--n", args.n, MAX_BIJECT_N)
     if args.rc:
         try:
             text = Path(args.rc).read_text()
@@ -218,6 +219,7 @@ def _cmd_biject(args) -> int:
             )
             return 1
     else:
+        _check_limit("--n", args.n, MAX_BIJECT_N)
         graphs = enumerate_rcgraphs(zigzag(args.n))
     items = [_item(d, args.n, args.to) for d in graphs]
     print(_dumps({"n": args.n, "to": args.to, "items": items}))

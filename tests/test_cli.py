@@ -3,6 +3,7 @@
 import pytest
 
 from pipedreams.cli import main
+from pipedreams.rcgraph import bottom_rcgraph
 
 ENUMERATE_ASCII = """\
 .++.
@@ -237,3 +238,12 @@ def test_oversized_input_is_refused_up_front(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == message
+
+
+def test_biject_limit_applies_to_the_family_only(capsys, tmp_path):
+    rc = tmp_path / "bottom11.txt"
+    rc.write_text(bottom_rcgraph(11).to_text())
+    code, out, err = run(capsys, "biject", "--n", "11", "--to", "partition",
+                         "--rc", str(rc))
+    assert (code, err) == (0, "")
+    assert out.endswith('"partition":[]}]}\n')
