@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -207,3 +208,56 @@ class TestTrees:
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
                 assert tree_of(bracketing_of(d)).leaves() == list(range(1, n + 2))
+
+
+def full_binary_trees(lo, hi):
+    """Every full binary tree on the leaves lo..hi in nested form, by
+    recursive splitting (oracle, independent of the library)."""
+    if lo == hi:
+        return [lo]
+    return [
+        [left, right]
+        for split_at in range(lo, hi)
+        for left in full_binary_trees(lo, split_at)
+        for right in full_binary_trees(split_at + 1, hi)
+    ]
+
+
+def nested_intervals(t):
+    """(first leaf, last leaf, intervals of the internal nodes) of a tree."""
+    if isinstance(t, int):
+        return t, t, []
+    lo, _, left = nested_intervals(t[0])
+    _, hi, right = nested_intervals(t[1])
+    return lo, hi, [(lo, hi)] + left + right
+
+
+def render_nested(t):
+    """Brackets around every internal node, a space only between two
+    sibling leaves."""
+    if isinstance(t, int):
+        return str(t)
+    left, right = t
+    gap = " " if isinstance(left, int) and isinstance(right, int) else ""
+    return f"({render_nested(left)}{gap}{render_nested(right)})"
+
+
+@pytest.mark.parametrize("letters", range(1, 6))
+def test_bracketing_accepts_exactly_tree_interval_sets(letters):
+    trees = {}
+    for t in full_binary_trees(1, letters):
+        trees[tuple(sorted(nested_intervals(t)[2]))] = t
+    assert len(trees) == catalan(letters - 1)
+    slots = [(o, c) for o in range(1, letters + 1) for c in range(o, letters + 1)]
+    accepted = 0
+    for pairs in combinations_with_replacement(slots, letters - 1):
+        expected = trees.get(tuple(sorted(pairs)))
+        if expected is None:
+            with pytest.raises(MalformedBracketingError):
+                Bracketing(letters, pairs)
+            continue
+        b = Bracketing(letters, pairs)
+        accepted += 1
+        assert tree_of(b).to_nested() == expected
+        assert str(b) == render_nested(expected)
+    assert accepted == len(trees)
