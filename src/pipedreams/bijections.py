@@ -151,11 +151,10 @@ class Bracketing:
 
     ``pairs`` holds one (open, close) per bracket pair: the left bracket
     sits immediately before letter ``open`` and the right bracket
-    immediately after letter ``close``.  When several brackets share a slot,
-    left brackets are emitted outermost first (the pair closing latest) and
-    right brackets innermost first (the pair opened latest); construction
-    verifies that every pair then matches itself under a depth scan and that
-    the whole string parses as a full binary product.
+    immediately after letter ``close``, so the pair encloses the factor
+    open .. close.  Construction sorts the pairs and checks, through
+    ``tree_of``, that they are exactly the factors of one full binary
+    product of the letters.
     """
 
     letters: int
@@ -175,40 +174,16 @@ class Bracketing:
                     f"pair ({o}, {c}) is out of range"
                 )
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        _parse_tokens(self._tokens(), self.letters)
-
-    def _tokens(self) -> list[tuple[str, int]]:
-        """Serialization order: ("open", pid) / ("letter", t) / ("close", pid)."""
-        opens: dict[int, list[int]] = {}
-        closes: dict[int, list[int]] = {}
-        for pid, (o, c) in enumerate(self.pairs):
-            opens.setdefault(o, []).append(pid)
-            closes.setdefault(c, []).append(pid)
-        toks: list[tuple[str, int]] = []
-        for t in range(1, self.letters + 1):
-            for pid in sorted(opens.get(t, ()), key=lambda p: (-self.pairs[p][1], p)):
-                toks.append(("open", pid))
-            toks.append(("letter", t))
-            for pid in sorted(closes.get(t, ()), key=lambda p: (-self.pairs[p][0], -p)):
-                toks.append(("close", pid))
-        return toks
+        tree_of(self)
 
     def __str__(self) -> str:
-        bits = []
-        prev_letter = False
-        for kind, value in self._tokens():
-            if kind == "open":
-                bits.append("(")
-                prev_letter = False
-            elif kind == "close":
-                bits.append(")")
-                prev_letter = False
-            else:
-                if prev_letter:
-                    bits.append(" ")
-                bits.append(str(value))
-                prev_letter = True
-        return "".join(bits)
+        def render(t: BinaryTree) -> str:
+            if t.is_leaf():
+                return str(t.label)
+            gap = " " if t.left.is_leaf() and t.right.is_leaf() else ""
+            return f"({render(t.left)}{gap}{render(t.right)})"
+
+        return render(tree_of(self))
 
 
 @dataclass(frozen=True)
@@ -256,44 +231,6 @@ class BinaryTree:
         raise ValueError(f"cannot read a binary tree from {obj!r}")
 
 
-def _parse_tokens(toks: list[tuple[str, int]], letters: int) -> BinaryTree:
-    """Parse tokens as expr := LETTER | '(' expr expr ')' with matching pairs."""
-    pos = 0
-    stack: list[int] = []
-
-    def expr() -> BinaryTree:
-        nonlocal pos
-        if pos >= len(toks):
-            raise MalformedBracketingError("unexpected end of bracketing")
-        kind, value = toks[pos]
-        if kind == "letter":
-            pos += 1
-            return BinaryTree.leaf(value)
-        if kind == "open":
-            stack.append(value)
-            pos += 1
-            left = expr()
-            right = expr()
-            if pos >= len(toks) or toks[pos][0] != "close":
-                raise MalformedBracketingError(
-                    "a bracket pair must enclose exactly two factors"
-                )
-            if toks[pos][1] != stack.pop():
-                raise MalformedBracketingError(
-                    f"bracket pair {toks[pos][1]} closes inside another pair"
-                )
-            pos += 1
-            return BinaryTree.node(left, right)
-        raise MalformedBracketingError("unmatched right bracket")
-
-    tree = expr()
-    if pos != len(toks):
-        raise MalformedBracketingError("trailing tokens after a complete product")
-    if tree.leaves() != list(range(1, letters + 1)):
-        raise MalformedBracketingError("letters are not 1..n+1 in order")
-    return tree
-
-
 def bracketing_of(d: RcGraph) -> Bracketing:
     """One bracket pair per elbow off the anti-diagonal: the elbow at (i, j)
     opens before letter j and closes after letter n+2-i."""
@@ -311,8 +248,28 @@ def reverse_bracketing(b: Bracketing) -> Bracketing:
 
 
 def tree_of(b: Bracketing) -> BinaryTree:
-    """The parse tree of a bracketing; leaves are the letters in order."""
-    return _parse_tokens(b._tokens(), b.letters)
+    """The parse tree of a bracketing; leaves are the letters in order.
+
+    A factor o..c of one letter is a leaf; a longer one must itself be a
+    pair.  Its left child is o..e for the largest e < c with (o, e) a pair,
+    or the letter o if there is none, and its right child is e+1..c.  Each
+    node takes a different pair and a full binary tree on L letters has
+    L - 1 nodes, so once the tree is built all L - 1 pairs are used, each
+    exactly once.
+    """
+    pairs = set(b.pairs)
+
+    def factor(o: int, c: int) -> BinaryTree:
+        if o == c:
+            return BinaryTree.leaf(o)
+        if (o, c) not in pairs:
+            raise MalformedBracketingError(
+                f"factor {o}..{c} is not enclosed by a bracket pair"
+            )
+        e = max((k for k in range(o, c) if (o, k) in pairs), default=o)
+        return BinaryTree.node(factor(o, e), factor(e + 1, c))
+
+    return factor(1, b.letters)
 
 
 def flip(t: BinaryTree) -> BinaryTree:
