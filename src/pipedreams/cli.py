@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 invalid input (the message names the offending
-flag), 2 a verification suite reported a failure.  JSON output is compact
+flag) or stdout closed before all output was written, 2 a verification
+suite reported a failure.  JSON output is compact
 and byte-for-byte deterministic for identical inputs.
 
 Sizes are bounded up front, because run time and memory grow exponentially
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .bijections import bracketing_of, partition_of, partition_to_dyck, tree_of
 from .catalan import catalan, q_catalan, q_catalan_via_partitions
 from .eg import eg_insert, eg_partition_of, eg_word
 from .multiplicity import schubert_multiplicity_at_identity
-from .perm import Permutation, dominant_singular, zigzag
+from .perm import NotAPermutationError, Permutation, dominant_singular, zigzag
 from .poly import schubert_polynomial, schubert_via_divided_differences
 from .rcgraph import RcGraph, enumerate_rcgraphs
 from .verify import SUITES, run_checks
@@ -61,7 +63,10 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 
 
 def _perm(text: str) -> Permutation:
-    w = Permutation.from_string(text)
+    try:
+        w = Permutation.from_string(text)
+    except NotAPermutationError as exc:
+        raise NotAPermutationError(f"--perm: {exc}") from None
     _check_limit("--perm of size", w.size, MAX_PERM_SIZE)
     return w
 
@@ -260,9 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

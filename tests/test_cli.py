@@ -1,7 +1,13 @@
 """Golden tests for the command line: byte-exact stdout and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pipedreams
 from pipedreams.cli import main
 from pipedreams.rcgraph import bottom_rcgraph
 
@@ -195,9 +201,9 @@ def test_golden_stdout_more_commands(capsys, argv, expected):
     "argv, message",
     [
         (("schubert", "--perm", "1,1,2"),
-         "error: [1, 1, 2] is not a rearrangement of 1..3\n"),
+         "error: --perm: [1, 1, 2] is not a rearrangement of 1..3\n"),
         (("enumerate", "--perm", "1,x"),
-         "error: cannot parse permutation from '1,x'\n"),
+         "error: --perm: cannot parse permutation from '1,x'\n"),
         (("catalan", "--n", "-1"), "error: --n must be nonnegative\n"),
         (("catalan", "--n", "5", "--via", "partitions"),
          "error: --via requires --q\n"),
@@ -247,3 +253,19 @@ def test_biject_limit_applies_to_the_family_only(capsys, tmp_path):
                          "--rc", str(rc))
     assert (code, err) == (0, "")
     assert out.endswith('"partition":[]}]}\n')
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 0.3 MB of output, more than a pipe buffer holds
+    env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pipedreams.cli", "enumerate",
+         "--perm", "1,9,8,7,6,5,4,3,2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
