@@ -4,13 +4,17 @@ Each check mirrors one acceptance property of the library: all of them are
 exact (no tolerances), and each returns its list of failures together with
 the short human-readable detail line reported when that list is empty.
 ``run_checks`` turns these into CheckResults; a check that raises is
-reported as a failure naming the exception, and the run carries on.
+reported as a failure naming the exception, and the run carries on.  The
+checks that walk the zigzag families take them from ``family``, which
+``run_checks`` memoises, so each family is enumerated once per run.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as all_words
 from math import comb
 
@@ -47,9 +51,11 @@ from .perm import (
     zigzag,
 )
 from .poly import schubert_polynomial, schubert_via_divided_differences
-from .rcgraph import enumerate_rcgraphs, split
+from .rcgraph import RcGraph, enumerate_rcgraphs, split
 
 SUITES = ("prop1", "bijections", "eg", "transpose", "all")
+
+Family = Callable[[int], list[RcGraph]]
 
 
 @dataclass
@@ -87,12 +93,12 @@ def check_specialization(max_n: int) -> tuple[list[str], str]:
     return failures, f"exact for n=1..{max_n}"
 
 
-def check_counting(max_n: int) -> tuple[list[str], str]:
+def check_counting(max_n: int, family: Family) -> tuple[list[str], str]:
     """The zigzag of n has exactly catalan(n) fillings."""
     failures = []
     counts = []
     for n in range(1, max_n + 1):
-        got = len(enumerate_rcgraphs(zigzag(n)))
+        got = len(family(n))
         counts.append(got)
         if got != catalan(n):
             failures.append(f"n={n}: {got} fillings, expected {catalan(n)}")
@@ -113,14 +119,13 @@ def check_oracle(zig_max: int = 5) -> tuple[list[str], str]:
     return failures, f"all of S_4 and zigzag n<={zig_max}"
 
 
-def check_partition_bijection(max_n: int) -> tuple[list[str], str]:
+def check_partition_bijection(max_n: int, family: Family) -> tuple[list[str], str]:
     """partition_of is a bijection onto the staircase partitions, with
     rcgraph_of as inverse and the weight law binom(n+1,3) - |p|."""
     failures = []
     for n in range(1, max_n + 1):
-        graphs = enumerate_rcgraphs(zigzag(n))
         seen = {}
-        for d in graphs:
+        for d in family(n):
             p = partition_of(d)
             if not fits_staircase(p, n):
                 failures.append(f"n={n}: {p} outside the staircase")
@@ -161,12 +166,12 @@ def check_dyck_transport(max_n: int) -> tuple[list[str], str]:
     return failures, f"round trips and area transport for n<={max_n}"
 
 
-def check_eg(max_n: int, evac_max: int = 5) -> tuple[list[str], str]:
+def check_eg(max_n: int, family: Family, evac_max: int = 5) -> tuple[list[str], str]:
     """Insertion-tableau constancy, recording-label rows, agreement with the
     elementary bijection, and the evacuation round trip."""
     failures = []
     for n in range(1, max_n + 1):
-        graphs = enumerate_rcgraphs(zigzag(n))
+        graphs = family(n)
         p_seen = set()
         q_seen = set()
         for d in graphs:
@@ -195,11 +200,11 @@ def check_eg(max_n: int, evac_max: int = 5) -> tuple[list[str], str]:
                       "right-to-left is the single usable reading direction")
 
 
-def check_transpose(max_n: int) -> tuple[list[str], str]:
+def check_transpose(max_n: int, family: Family) -> tuple[list[str], str]:
     """Transposing a filling reverses its bracketing."""
     failures = []
     for n in range(1, max_n + 1):
-        for d in enumerate_rcgraphs(zigzag(n)):
+        for d in family(n):
             b = bracketing_of(d)
             if len(b.pairs) != n:
                 failures.append(f"n={n}: bracketing has {len(b.pairs)} pairs")
@@ -208,11 +213,11 @@ def check_transpose(max_n: int) -> tuple[list[str], str]:
     return failures, f"checked every filling for n<={max_n}"
 
 
-def check_split(max_n: int) -> tuple[list[str], str]:
+def check_split(max_n: int, family: Family) -> tuple[list[str], str]:
     """The turn-row decomposition satisfies the exact weight identity."""
     failures = []
     for n in range(1, max_n + 1):
-        for d in enumerate_rcgraphs(zigzag(n)):
+        for d in family(n):
             k, south, north = split(d)
             expected = (
                 north.weight()
@@ -256,20 +261,23 @@ def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
     q-Catalan bounds never drop below their stated 10 and 12."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    family = cache(lambda n: enumerate_rcgraphs(zigzag(n)))
     plan = [
         ("1", "five fillings of 1,4,3,2", "prop1", check_figure_family, ()),
         ("2", "q-Catalan specialization identity", "prop1",
          check_specialization, (max_n,)),
-        ("3", "Catalan counting of zigzag fillings", "prop1", check_counting, (max_n,)),
+        ("3", "Catalan counting of zigzag fillings", "prop1",
+         check_counting, (max_n, family)),
         ("4", "divided-difference oracle equivalence", "prop1",
          check_oracle, (min(max_n, 5),)),
         ("5", "elementary partition bijection", "bijections",
-         check_partition_bijection, (max_n,)),
+         check_partition_bijection, (max_n, family)),
         ("5d", "Dyck path coding", "bijections", check_dyck_transport, (max_n,)),
-        ("6", "Edelman-Greene correspondence", "eg", check_eg, (max_n, min(max_n, 5))),
+        ("6", "Edelman-Greene correspondence", "eg",
+         check_eg, (max_n, family, min(max_n, 5))),
         ("7", "transposition reverses bracketings", "transpose",
-         check_transpose, (max_n,)),
-        ("8", "split weight identity", "prop1", check_split, (max_n,)),
+         check_transpose, (max_n, family)),
+        ("8", "split weight identity", "prop1", check_split, (max_n, family)),
         ("9", "Catalan multiplicity", "prop1", check_multiplicity, (max_n,)),
         ("10", "q-Catalan cross-method", "prop1",
          check_q_catalan, (max(10, max_n), max(12, max_n))),

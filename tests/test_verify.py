@@ -3,7 +3,7 @@ import pytest
 from pipedreams import verify
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError
-from pipedreams.rcgraph import NotReducedError
+from pipedreams.rcgraph import NotReducedError, enumerate_rcgraphs
 
 
 def raise_not_reduced(*args):
@@ -61,3 +61,16 @@ def test_cli_exits_2_when_a_check_raises(monkeypatch, capsys):
             "strands 1 and 2 cross twice\n") in out
     assert out.endswith("10/11 checks passed\n")
     assert err == "failed: [8] split weight identity\n"
+
+
+def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return enumerate_rcgraphs(w)
+
+    monkeypatch.setattr(verify, "enumerate_rcgraphs", counted)
+    assert all(r.passed for r in verify.run_checks("all", 4))
+    # 1,4,3,2 for check [1], then the zigzags of 1..4 once each
+    assert len(calls) == 5
