@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from .poly import QPolynomial
 
@@ -53,10 +52,6 @@ class Partition:
 
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-    @classmethod
-    def from_iterable(cls, parts: Iterable[int]) -> Partition:
-        return cls(tuple(parts))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"

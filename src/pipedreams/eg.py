@@ -65,19 +65,11 @@ class Tableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    @property
-    def box_count(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def transpose(self) -> Tableau:
         return Tableau(_transposed(self.rows))
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-    @classmethod
-    def from_rows(cls, rows) -> Tableau:
-        return cls(tuple(tuple(r) for r in rows))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in r) for r in self.rows)
