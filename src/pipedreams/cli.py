@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (the message names the offending
 flag) or stdout closed before all output was written, 2 a verification
-suite reported a failure.  JSON output is compact
-and byte-for-byte deterministic for identical inputs.
+suite reported a failure.  JSON output is compact and byte-for-byte
+deterministic for identical inputs.
 
 Sizes are bounded up front, because run time and memory grow exponentially
 with them.  Each limit is the largest size whose worst case took about 10 s
