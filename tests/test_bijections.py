@@ -27,7 +27,13 @@ from pipedreams.catalan import (
     staircase,
 )
 from pipedreams.perm import make_perm, zigzag
-from pipedreams.rcgraph import NotZigzagError, RcGraph, bottom_rcgraph, enumerate_rcgraphs
+from pipedreams.rcgraph import (
+    NotZigzagError,
+    RcGraph,
+    bottom_rcgraph,
+    enumerate_rcgraphs,
+    inverse_chute_move,
+)
 
 # (crosses, partition, bracketing) for the five fillings of 1,4,3,2
 FIGURE_BIJECTIONS = [
@@ -102,6 +108,31 @@ class TestRcgraphOf:
     def test_out_of_bounds(self):
         with pytest.raises(PartitionBoundsError):
             rcgraph_of(Partition((3, 1)), 3)
+
+    def test_matches_chute_walk_reference(self):
+        for n in range(0, 9):
+            for p in enumerate_staircase_partitions(n):
+                assert rcgraph_of(p, n) == chute_walk(p, n), (p, n)
+
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            rcgraph_of(Partition(), -1)
+
+
+def chute_walk(p, n):
+    """Reference inverse: start from the bottom filling and, for each part k
+    of the conjugate, largest first, carry the rightmost cross of row k+1
+    that is not under a top-row cross up to row one by an inverse chute
+    move."""
+    d = bottom_rcgraph(n)
+    for k in p.conjugate().parts:
+        row = k + 1
+        src_col = max(
+            c for c in range(1, n + 1 - k) if d.is_cross(row, c) and d.is_elbow(1, c)
+        )
+        dst_col = min(c for c in range(src_col + 1, n + 2) if d.is_elbow(1, c))
+        d = inverse_chute_move(d, (1, dst_col), (row, src_col))
+    return d
 
 
 class TestDyck:

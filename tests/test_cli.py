@@ -47,6 +47,17 @@ ENUMERATE_JSON = (
     '{"m":4,"crosses":[[2,1],[2,2],[3,1]]}]}\n'
 )
 
+ENUMERATE_LEGEND = """\
+legend: '+' = cross, '.' = elbow
+.+.
+..
+.
+
+...
++.
+.
+"""
+
 SCHUBERT_ORACLE = """\
 x1^2*x2 + x1^2*x3 + x1*x2^2 + x1*x2*x3 + x2^2*x3
 oracle agreement: yes
@@ -94,9 +105,17 @@ def run(capsys, *argv):
         (("specialize", "--perm", "1,4,3,2"), SPECIALIZE),
         (("biject", "--n", "3", "--to", "partition"), BIJECT_PARTITION),
         (("verify", "--max-n", "4"), VERIFY_MAX_N_4),
+        (("enumerate", "--perm", "1,2,3"), "...\n..\n.\n"),
+        (("enumerate", "--perm", "1,2,3", "--format", "json"),
+         '{"perm":"1,2,3","count":1,"rcgraphs":[{"m":3,"crosses":[]}]}\n'),
+        (("enumerate", "--perm", "1,3,2", "--legend"), ENUMERATE_LEGEND),
+        (("enumerate", "--perm", "1,3,2", "--legend", "--format", "json"),
+         '{"perm":"1,3,2","count":2,"rcgraphs":['
+         '{"m":3,"crosses":[[1,2]]},{"m":3,"crosses":[[2,1]]}]}\n'),
     ],
     ids=["enumerate-ascii", "enumerate-json", "schubert-oracle", "specialize",
-         "biject-partition", "verify-max-n-4"],
+         "biject-partition", "verify-max-n-4", "enumerate-single-ascii",
+         "enumerate-single-json", "enumerate-legend", "enumerate-legend-json"],
 )
 def test_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

@@ -322,6 +322,63 @@ class TestSplit:
             split(d)
 
 
+def split_by_cross_lists(d):
+    """Reference split: reindex the cross cells of each part."""
+    n = d.m - 1
+    k = max(r for r in range(1, n + 1) if not d.is_cross(r, 1))
+    south = RcGraph.from_crosses(
+        n - k + 1,
+        [(i - k + 1, j - 1) for i, j in d.crosses() if i >= k and 2 <= j <= n + 2 - k],
+    )
+    north = RcGraph.from_crosses(
+        k,
+        [(i, 1) for i, j in d.crosses() if j == 1 and i <= k]
+        + [(i, j - (n + 1 - k)) for i, j in d.crosses() if j >= n + 3 - k],
+    )
+    return k, south, north
+
+
+def unsplit_by_cross_lists(n, k, south, north):
+    """Reference unsplit: the forced crosses plus both parts' cross cells."""
+    crosses = [(r, c) for r in range(1, k) for c in range(2, n + 3 - k)]
+    crosses += [(r, 1) for r in range(k + 1, n + 1)]
+    crosses += [(i + k - 1, j + 1) for i, j in south.crosses()]
+    crosses += [(i, 1) if j == 1 else (i, j + n + 1 - k) for i, j in north.crosses()]
+    return RcGraph.from_crosses(n + 1, crosses)
+
+
+class TestRowBuildersMatchCrossLists:
+    def test_split_and_unsplit(self):
+        for n in range(1, 8):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                k, south, north = expected = split_by_cross_lists(d)
+                assert split(d) == expected, d
+                assert unsplit(n, k, south, north) == unsplit_by_cross_lists(
+                    n, k, south, north
+                )
+
+    def test_transpose_zigzag(self):
+        for n in range(0, 8):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                assert d.transpose() == RcGraph.from_crosses(
+                    d.m, [(j, i) for i, j in d.crosses()]
+                )
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_transpose_all_fillings(self, m):
+        for word in permutations(range(1, m + 1)):
+            for d in enumerate_rcgraphs(make_perm(word)):
+                assert d.transpose() == RcGraph.from_crosses(
+                    m, [(j, i) for i, j in d.crosses()]
+                )
+
+    def test_bottom(self):
+        for n in range(0, 8):
+            assert bottom_rcgraph(n) == RcGraph.from_crosses(
+                n + 1, [(i, j) for i in range(2, n + 2) for j in range(1, n + 2 - i)]
+            )
+
+
 class TestSerialization:
     def test_text_round_trip_figure(self):
         d = bottom_rcgraph(3)
