@@ -2,12 +2,13 @@
 
 A filling for the zigzag of n has exactly n elbows off the anti-diagonal.
 Collecting (row - 1) over those elbows gives the conjugate of a partition
-inside the staircase, and the inverse rebuilds the filling from the bottom
-one with inverse chute moves.  The same elbows also emit one bracket pair
-each, which parses the string 1 .. n+1 as a full binary product; reflecting
-the filling across its diagonal reverses the bracketing, equivalently flips
-the parse tree.  Partitions convert to Dyck paths so the area statistic can
-travel along.
+inside the staircase.  The same elbows also emit one bracket pair each,
+which parses the string 1 .. n+1 as a full binary product; the partition
+fixes how many pairs close after each letter, which is all the inverse needs
+to rebuild the bracketing, and with it the filling, in one pass with a stack
+of open factors.  Reflecting the filling across its diagonal reverses the
+bracketing, equivalently flips the parse tree.  Partitions convert to Dyck
+paths so the area statistic can travel along.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .catalan import Partition, fits_staircase
-from .rcgraph import RcGraph, bottom_rcgraph, inverse_chute_move, zigzag_index
+from .rcgraph import RcGraph, zigzag_index
 
 
 class PartitionBoundsError(ValueError):
@@ -44,28 +45,32 @@ def partition_of(d: RcGraph) -> Partition:
 
 
 def rcgraph_of(p: Partition, n: int) -> RcGraph:
-    """Rebuild the filling with partition p from the bottom filling.
+    """The filling with partition p, built from the closes of its bracketing.
 
-    For each part k of the conjugate, largest first, the rightmost cross of
-    row k+1 that is not under a top-row cross is carried up to row one by an
-    inverse chute move; every move has its four conditions checked."""
+    The elbow at (i, j) is the pair (j, n+2-i), so row k+1 holds the pairs
+    closing after letter c = n+1-k: there are p_k - p_{k+1} of them, and
+    n - p_1 after letter n+1 in row one.  Reading the letters left to right,
+    each is pushed as the start of a one-letter factor, and each close pops
+    once: the new top o starts the merged factor o .. c, whose pair is the
+    elbow (k+1, o).  All other cells off the anti-diagonal are crosses.
+    The stack never runs short exactly when p fits inside the staircase.
+    """
     if not fits_staircase(p, n):
         raise PartitionBoundsError(
             f"{p} does not fit inside the staircase of {n}"
         )
-    d = bottom_rcgraph(n)
-    for k in p.conjugate().parts:
-        row = k + 1
-        sources = [
-            c
-            for c in range(1, n + 1 - row + 1)
-            if d.is_cross(row, c) and d.is_elbow(1, c)
-        ]
-        assert sources, "no movable cross left; the partition check should prevent this"
-        src_col = max(sources)
-        dst_col = min(c for c in range(src_col + 1, n + 2) if d.is_elbow(1, c))
-        d = inverse_chute_move(d, (1, dst_col), (row, src_col))
-    return d
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rows = [[True] * (n - k) + [False] for k in range(n + 1)]
+    opens: list[int] = []
+    for c in range(1, n + 2):
+        opens.append(c)
+        k = n + 1 - c
+        closes = p.part(k) - p.part(k + 1) if k else n - p.part(1)
+        for _ in range(closes):
+            opens.pop()
+            rows[k][opens[-1] - 1] = False
+    return RcGraph(tuple(map(tuple, rows)))
 
 
 # -- Dyck paths --------------------------------------------------------------

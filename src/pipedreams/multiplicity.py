@@ -54,15 +54,6 @@ class SpecializationReport:
     count: int
     recurrence_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "equal": self.equal,
-            "count": str(self.count),
-        }
-
 
 @lru_cache(maxsize=None)
 def _zigzag_specialization(k: int) -> QPolynomial:

@@ -59,9 +59,6 @@ class Permutation:
             )
         return Permutation(tuple(self.word[v - 1] for v in other.word))
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.word, start=1))
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.word)
 

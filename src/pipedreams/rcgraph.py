@@ -209,7 +209,8 @@ class RcGraph:
 
     def transpose(self) -> RcGraph:
         """Reflect across the main diagonal; the traced permutation inverts."""
-        return RcGraph.from_crosses(self.m, [(j, i) for i, j in self.crosses()])
+        rows, m = self.rows, self.m
+        return RcGraph(tuple(tuple(row[j] for row in rows[:m - j]) for j in range(m)))
 
     # -- serialization -----------------------------------------------------
 
@@ -250,9 +251,8 @@ def bottom_rcgraph(n: int) -> RcGraph:
     every other decidable cell."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = n + 1
-    crosses = [(i, j) for i in range(2, m + 1) for j in range(1, m + 1 - i)]
-    return RcGraph.from_crosses(m, crosses)
+    return RcGraph(((False,) * (n + 1),)
+                   + tuple((True,) * (n - k) + (False,) for k in range(1, n + 1)))
 
 
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
@@ -405,19 +405,8 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
             raise NotZigzagError(
                 f"expected a forced cross at ({r}, 1) for turn row {k}"
             )
-    south = RcGraph.from_crosses(
-        n - k + 1,
-        [
-            (i - k + 1, j - 1)
-            for i, j in d.crosses()
-            if i >= k and 2 <= j <= n + 2 - k
-        ],
-    )
-    north = RcGraph.from_crosses(
-        k,
-        [(i, 1) for i, j in d.crosses() if j == 1 and i <= k]
-        + [(i, j - (n + 1 - k)) for i, j in d.crosses() if j >= n + 3 - k],
-    )
+    south = RcGraph(tuple(row[1:] for row in d.rows[k - 1:n]))
+    north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in d.rows[:k]))
     if south.permutation() != zigzag(n - k) or north.permutation() != zigzag(k - 1):
         raise NotZigzagError("split parts do not trace zigzag permutations")
     return k, south, north
@@ -429,13 +418,11 @@ def unsplit(n: int, k: int, south: RcGraph, north: RcGraph) -> RcGraph:
         raise ValueError(f"turn row {k} out of range for n={n}")
     if south.m != n - k + 1 or north.m != k:
         raise ValueError("part sizes do not match n and k")
-    crosses: list[tuple[int, int]] = []
-    crosses += [(r, c) for r in range(1, k) for c in range(2, n + 3 - k)]
-    crosses += [(r, 1) for r in range(k + 1, n + 1)]
-    crosses += [(i + k - 1, j + 1) for i, j in south.crosses()]
-    for i, j in north.crosses():
-        crosses.append((i, 1) if j == 1 else (i, j + n + 1 - k))
-    return RcGraph.from_crosses(n + 1, crosses)
+    rows = [row[:1] + (True,) * (n + 1 - k) + row[1:] for row in north.rows[:-1]]
+    rows.append(north.rows[-1] + south.rows[0])
+    rows += [(True,) + row for row in south.rows[1:]]
+    rows.append((False,))
+    return RcGraph(tuple(rows))
 
 
 def chute_closure(start: RcGraph) -> list[RcGraph]:
