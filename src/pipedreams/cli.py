@@ -130,19 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_enumerate(args) -> int:
     w = _perm(args.perm)
     graphs = enumerate_rcgraphs(w)
-    # Written one filling at a time, so the output is never held whole.
+    # Written in batches of fillings, so the output is never held whole
+    # and an unbuffered stdout (python -u) is not written to once per filling.
     if args.format == "json":
         head = f'{{"perm":{_dumps(str(w))},"count":{len(graphs)},"rcgraphs":['
         sep, tail = ",", "]}\n"
-        items = (_dumps(g.to_json_dict()) for g in graphs)
+        fmt = lambda g: _dumps(g.to_json_dict())
     else:
         head = "legend: '+' = cross, '.' = elbow\n" if args.legend else ""
-        sep, tail = "\n\n", "\n"
-        items = (g.to_text() for g in graphs)
+        sep, tail, fmt = "\n\n", "\n", RcGraph.to_text
     write = sys.stdout.write
     write(head)
-    for i, item in enumerate(items):
-        write(sep + item if i else item)
+    batch = 1024
+    for i in range(0, len(graphs), batch):
+        write((sep if i else "") + sep.join(map(fmt, graphs[i:i + batch])))
     write(tail)
     return 0
 
