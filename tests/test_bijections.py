@@ -292,3 +292,17 @@ def test_bracketing_accepts_exactly_tree_interval_sets(letters):
         assert tree_of(b).to_nested() == expected
         assert str(b) == render_nested(expected)
     assert accepted == len(trees)
+
+
+@pytest.mark.parametrize("letters", range(1, 9))
+def test_bracketing_str_is_injective(letters):
+    """Two valid bracketings are == exactly when their str are equal, so a
+    check may compare bracketings by == where it used to compare strings."""
+    trees = full_binary_trees(1, letters)
+    built = [Bracketing(letters, tuple(nested_intervals(t)[2])) for t in trees]
+    rebuilt = [Bracketing(letters, tuple(reversed(nested_intervals(t)[2])))
+               for t in trees]
+    assert len(built) == catalan(letters - 1)
+    assert built == rebuilt
+    assert [str(b) for b in built] == [str(b) for b in rebuilt]
+    assert len(set(built)) == len({str(b) for b in built}) == len(built)

@@ -18,6 +18,7 @@ from pipedreams.rcgraph import (
     inverse_chute_move,
     split,
     unsplit,
+    zigzag_index,
 )
 
 # The five fillings for 1,4,3,2 with their monomials and weights.
@@ -69,6 +70,34 @@ def traced_or_error(trace, d):
         return f"NotReducedError: {exc}"
 
 
+def every_grid(m):
+    """Every filling of the S_m staircase, reduced or not."""
+    widths = [m - i for i in range(1, m + 1)]  # decidable cells per row
+    for bits in product((False, True), repeat=sum(widths)):
+        rows, at = [], 0
+        for w in widths:
+            rows.append(bits[at:at + w] + (False,))
+            at += w
+        yield RcGraph(tuple(rows))
+
+
+def zigzag_index_reference(d, min_n=0):
+    """The zigzag guard as a comparison of Permutations."""
+    n = d.m - 1
+    if n < min_n or d.permutation() != zigzag(n):
+        raise NotZigzagError(
+            f"not a filling for the zigzag permutation of S_{d.m}"
+        )
+    return n
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
 class TestValidate:
     def test_figure_family_traces_1432(self):
         w = make_perm([1, 4, 3, 2])
@@ -100,6 +129,19 @@ class TestValidate:
             assert traced_or_error(RcGraph.permutation, d) == traced_or_error(
                 traced_with_crossed_set, d
             ), d.rows
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_guard_and_weight_on_every_grid(self, m):
+        """Every grid of the S_m staircase, so every filling of S_m."""
+        for d in every_grid(m):
+            assert outcome(RcGraph.permutation, d) == outcome(
+                traced_with_crossed_set, d
+            ), d.rows
+            for min_n in (0, 1):
+                assert outcome(zigzag_index, d, min_n) == outcome(
+                    zigzag_index_reference, d, min_n
+                ), d.rows
+            assert d.weight() == sum(i - 1 for i, _ in d.crosses())
 
     def test_cross_on_antidiagonal_rejected(self):
         with pytest.raises(CrossOnAntiDiagonalError):

@@ -1,9 +1,12 @@
 import pytest
 
 from pipedreams import verify
+from pipedreams.bijections import Bracketing
+from pipedreams.catalan import Partition
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError
-from pipedreams.rcgraph import NotReducedError, enumerate_rcgraphs
+from pipedreams.perm import zigzag
+from pipedreams.rcgraph import NotReducedError, bottom_rcgraph, enumerate_rcgraphs
 
 
 def raise_not_reduced(*args):
@@ -74,3 +77,53 @@ def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
     assert all(r.passed for r in verify.run_checks("all", 4))
     # 1,4,3,2 for check [1], then the zigzags of 1..4 once each
     assert len(calls) == 5
+
+
+# Each mutation corrupts one output of one bijection at max_n = 4; the check
+# that shares its per-filling work must still report exactly these failures.
+
+
+def test_check_5_catches_a_corrupt_rcgraph_of(monkeypatch):
+    real = verify.rcgraph_of
+
+    def corrupt(p, n):
+        if (p, n) == (Partition((2, 1)), 3):
+            return bottom_rcgraph(3)  # the filling of the empty partition
+        return real(p, n)
+
+    monkeypatch.setattr(verify, "rcgraph_of", corrupt)
+    result = verify.run_checks("bijections", 4)[0]
+    assert (result.ident, result.passed) == ("5", False)
+    assert result.detail == (
+        "n=3: rcgraph_of does not invert at [2,1]; n=3: round trip fails at [2,1]"
+    )
+
+
+def test_check_7_catches_a_corrupt_reverse_bracketing(monkeypatch):
+    real = verify.reverse_bracketing
+    right_comb = Bracketing(4, ((1, 4), (2, 4), (3, 4)))  # (1(2(3 4)))
+
+    def corrupt(b):
+        if b == right_comb:
+            return b
+        return real(b)
+
+    monkeypatch.setattr(verify, "reverse_bracketing", corrupt)
+    (result,) = verify.run_checks("transpose", 4)
+    assert not result.passed
+    assert result.detail == "n=3: transpose is not string reversal"
+
+
+def test_check_6_catches_a_corrupt_partition_of(monkeypatch):
+    real = verify.partition_of
+    target = enumerate_rcgraphs(zigzag(4))[5]
+
+    def corrupt(d):
+        if d == target:
+            return Partition((9,))
+        return real(d)
+
+    monkeypatch.setattr(verify, "partition_of", corrupt)
+    (result,) = verify.run_checks("eg", 4)
+    assert not result.passed
+    assert result.detail == "n=4: insertion and elementary bijections differ"
