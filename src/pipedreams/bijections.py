@@ -13,6 +13,7 @@ paths so the area statistic can travel along.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -260,18 +261,23 @@ def tree_of(b: Bracketing) -> BinaryTree:
     or the letter o if there is none, and its right child is e+1..c.  Each
     node takes a different pair and a full binary tree on L letters has
     L - 1 nodes, so once the tree is built all L - 1 pairs are used, each
-    exactly once.
+    exactly once.  The closes of each open are indexed once, in ascending
+    order, so e is found by bisection.
     """
-    pairs = set(b.pairs)
+    closes: dict[int, list[int]] = {}
+    for o, c in b.pairs:  # sorted, so each list of closes is too
+        closes.setdefault(o, []).append(c)
 
     def factor(o: int, c: int) -> BinaryTree:
         if o == c:
             return BinaryTree.leaf(o)
-        if (o, c) not in pairs:
+        ends = closes.get(o, ())
+        k = bisect_left(ends, c)
+        if k == len(ends) or ends[k] != c:
             raise MalformedBracketingError(
                 f"factor {o}..{c} is not enclosed by a bracket pair"
             )
-        e = max((k for k in range(o, c) if (o, k) in pairs), default=o)
+        e = ends[k - 1] if k else o
         return BinaryTree.node(factor(o, e), factor(e + 1, c))
 
     return factor(1, b.letters)

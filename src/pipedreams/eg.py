@@ -219,6 +219,12 @@ def eg_partition_of(d: RcGraph) -> Partition:
     label equals their row index (in the transposed, customary form)."""
     zigzag_index(d)
     _, q = eg_insert(eg_word(d))
+    return _recording_partition(q)
+
+
+def _recording_partition(q: Tableau) -> Partition:
+    """The partition of ``eg_partition_of``, read off its recording
+    tableau q."""
     counts: list[int] = []
     for r, row in enumerate(q.rows, start=1):
         matching = [c for c, label in enumerate(row, start=1) if label == r]

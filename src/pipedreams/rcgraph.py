@@ -18,6 +18,7 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .perm import Permutation, zigzag
@@ -163,42 +164,14 @@ class RcGraph:
     def permutation(self) -> Permutation:
         """Trace all strands and return the permutation they realise.
 
-        Rows are swept from the bottom up.  The strand entering row r from
-        the west starts as the "traveler"; at each cell it meets the strand
-        coming up from below, a cross sends the lower strand onward to the
-        north while the traveler keeps going east, and an elbow parks the
-        traveler and makes the lower strand the new traveler.  Raises
-        NotReducedError as soon as a pair of strands crosses twice.
+        Raises NotReducedError as soon as a pair of strands crosses twice.
         """
-        rows = self.rows
-        m = len(rows)
-        cols: list[int] = []
-        for r in range(m, 0, -1):
-            traveler = r
-            row = rows[r - 1]
-            out: list[int] = []
-            for j in range(m - r):
-                below = cols[j]
-                if row[j]:
-                    # Strands at the front change order only by adjacent
-                    # swaps, so traveler > below means the pair already
-                    # crossed once.
-                    if traveler > below:
-                        raise NotReducedError(
-                            f"strands {below} and {traveler} cross twice"
-                        )
-                    out.append(below)
-                else:
-                    out.append(traveler)
-                    traveler = below
-            out.append(traveler)
-            cols = out
-        # cols[j-1] is the strand exiting at column j, i.e. the inverse word
-        return Permutation(tuple(cols)).inverse()
+        # the exit word lists the strand at each column: the inverse word
+        return Permutation(_trace(self.rows)).inverse()
 
     def weight(self) -> int:
         """Sum of (row - 1) over all crosses."""
-        return sum(i - 1 for i, _ in self.crosses())
+        return sum(i * sum(row) for i, row in enumerate(self.rows))
 
     def monomial(self) -> tuple[int, ...]:
         """Exponent vector: entry i-1 counts the crosses in row i."""
@@ -235,11 +208,54 @@ class RcGraph:
         return self.to_text()
 
 
+def _trace(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
+    """Sweep the rows from the bottom up; return the strand exiting at each
+    column, which is the inverse word of the traced permutation.
+
+    The strand entering row r from the west starts as the "traveler"; at
+    each cell it meets the strand coming up from below, a cross sends the
+    lower strand onward to the north while the traveler keeps going east,
+    and an elbow parks the traveler and makes the lower strand the new
+    traveler.  Raises NotReducedError as soon as a pair of strands crosses
+    twice.
+    """
+    m = len(rows)
+    cols: list[int] = []
+    for r in range(m, 0, -1):
+        traveler = r
+        row = rows[r - 1]
+        out: list[int] = []
+        for j in range(m - r):
+            below = cols[j]
+            if row[j]:
+                # Strands at the front change order only by adjacent
+                # swaps, so traveler > below means the pair already
+                # crossed once.
+                if traveler > below:
+                    raise NotReducedError(
+                        f"strands {below} and {traveler} cross twice"
+                    )
+                out.append(below)
+            else:
+                out.append(traveler)
+                traveler = below
+        out.append(traveler)
+        cols = out
+    return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def _zigzag_word(n: int) -> tuple[int, ...]:
+    """The word of zigzag(n); the zigzag is an involution, so this is also
+    the exit word ``_trace`` returns for its fillings."""
+    return zigzag(n).word
+
+
 def zigzag_index(d: RcGraph, min_n: int = 0) -> int:
     """The n for which d is a filling of the zigzag of n; raises
     NotZigzagError when d traces another permutation or n < min_n."""
     n = d.m - 1
-    if n < min_n or d.permutation() != zigzag(n):
+    if n < min_n or _trace(d.rows) != _zigzag_word(n):
         raise NotZigzagError(
             f"not a filling for the zigzag permutation of S_{d.m}"
         )
@@ -407,7 +423,8 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
             )
     south = RcGraph(tuple(row[1:] for row in d.rows[k - 1:n]))
     north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in d.rows[:k]))
-    if south.permutation() != zigzag(n - k) or north.permutation() != zigzag(k - 1):
+    if (_trace(south.rows) != _zigzag_word(n - k)
+            or _trace(north.rows) != _zigzag_word(k - 1)):
         raise NotZigzagError("split parts do not trace zigzag permutations")
     return k, south, north
 
