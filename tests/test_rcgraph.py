@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -231,6 +232,23 @@ class TestEnumerateOracles:
         for word in permutations(range(1, m + 1)):
             got = enumerate_rcgraphs(make_perm(word))
             assert got == sorted(got, key=RcGraph.sort_key), word
+
+    @pytest.mark.parametrize("perms, digest", [
+        ([make_perm(word) for m in range(1, 8)
+          for word in permutations(range(1, m + 1))],
+         "ba8ab4eca939091afe0be283b6e7b3246848a41e62ab71c6968528a3baa043a1"),
+        ([zigzag(n) for n in range(1, 11)],
+         "8c1fb8280cc9fb56170f0f530c35cba00c7cd883df89758d2b2049fc02237c88"),
+    ], ids=["s1-s7", "zigzag1-10"])
+    def test_listing_digest(self, perms, digest):
+        """Content and order of every listing, pinned by hash."""
+        h = hashlib.sha256()
+        for w in perms:
+            got = enumerate_rcgraphs(w)
+            h.update(f"{w}:{len(got)}\n".encode())
+            for d in got:
+                h.update((d.to_text() + "\n\n").encode())
+        assert h.hexdigest() == digest
 
     def test_pipe_dream_sum_matches_divided_differences_s5(self):
         for word in permutations(range(1, 6)):
