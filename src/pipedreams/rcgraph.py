@@ -7,9 +7,10 @@ an elbow (the strand arriving from the west turns north, the one arriving
 from the south turns east).  The strand entering row i from the left then
 exits the top of the grid in some column, and a filling is a pipe dream for
 the permutation w exactly when that column is w(i) for every i and no two
-strands cross twice.  Crossing twice is equivalent to the cross count
-exceeding the inversion count of the traced permutation, so reduced fillings
-are recognised by counting.
+strands cross twice.  Along the front of a bottom-up sweep, strands change
+order only where they cross, so a pair meeting again is out of order there:
+``_trace`` raises when the traveler is larger than the strand it crosses,
+and ``enumerate_rcgraphs`` places a cross only when w(traveler) > w(b).
 
 Coordinates are (row, column), 1-based, with (1, 3) meaning top row, third
 column.
@@ -274,79 +275,75 @@ def bottom_rcgraph(n: int) -> RcGraph:
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     """All pipe dreams for w, without duplicates, in canonical order.
 
-    Depth-first search over the rows from the bottom up.  The state entering
-    row r is the tuple of strands crossing upward into it, column by column.
-    ``row_moves(r, below)`` lists every admissible filling of row r over
-    those strands as (strands leaving the top, the row's cells, its cross
-    count); the lists are memoised per (r, below) for the length of one
-    call, and fillings that pass through the same state share the same row
-    tuples.
+    Two passes over one graph of states.  A state is the tuple of strands
+    crossing a row boundary, column by column; its length gives the row.
+    The first pass goes up from the empty state below row m: each reached
+    state entering row r is expanded once, and every admissible filling of
+    the row is recorded as an edge (the row's cells, the state below) of the
+    state leaving its top.  The second pass walks the edges down from the
+    state above row 1 that traces w, which is the inverse word of w.  Every
+    state it meets was reached from the bottom, so no walk is a dead end.
 
-    A strand is abandoned as soon as it would sit east of its target column,
-    since strands move weakly east.  A cross is placed only on a pair whose
-    targets are inverted in w and that has not crossed yet.  No set of
-    crossed pairs is kept: along the front of the sweep the strands change
-    order only by the adjacent swap of a cross, and a strand enters west of
-    every strand already there, all of which carry larger labels.  So a pair
-    has crossed exactly when the larger strand is west of the smaller, which
-    for the traveler meeting b is traveler > b.  Such a pair is inverted in
-    w, so w(traveler) < w(b), and the two tests together reduce to
-    w(traveler) > w(b).  With every cross on a fresh inverted pair, spending
-    the full budget of l(w) crosses forces the traced permutation to equal
-    w; a move is skipped when it overspends the budget or leaves more
-    crosses than the decidable cells above it can hold.
+    A cross is placed only on a pair that has not crossed yet and whose
+    targets are inverted in w.  No set of crossed pairs is kept: along the
+    front of the sweep the strands change order only by the adjacent swap
+    of a cross, and a strand enters west of every strand already there, all
+    of which carry larger labels.  So a pair has crossed exactly when the
+    larger strand is west of the smaller, which for the traveler meeting b
+    is traveler > b.  Such a pair is inverted in w, so w(traveler) < w(b),
+    and the two tests together reduce to w(traveler) > w(b).  Hence no pair
+    crosses twice.  A strand is also dropped where it would exit a row east
+    of its target column, at an elbow or the anti-diagonal, since strands
+    move weakly east; these rules only prune states, and the walk from the
+    top state of w alone decides what is listed.
 
     Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
     Every filling of w has l(w) crosses, so two of them first differ at a
-    cell where exactly one has a cross, and that one sorts first.  On the
-    rows, where True > False, it sorts last; hence the reverse sort.
+    cell where exactly one has a cross, and that one sorts first.  The walk
+    takes the rows top down and each state's edges sorted True first.
     """
     m = w.size
-    target = w.length
     wv = (0,) + w.word
-    memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    edges: dict[tuple[int, ...], list] = {}
+    reached: list[tuple[int, ...]] = [()]
 
-    def row_moves(r: int, below: tuple[int, ...]) -> list:
-        key = (r, below)
-        moves = memo.get(key)
-        if moves is not None:
-            return moves
-        moves = memo[key] = []
-        width = len(below) + 1
-
-        def fill(j: int, traveler: int, top: tuple[int, ...],
-                 cells: tuple[bool, ...], k: int) -> None:
-            if j == width:
-                # forced anti-diagonal elbow: the traveler exits here
-                if wv[traveler] >= width:
-                    moves.append((top + (traveler,), cells + (False,), k))
-                return
-            b = below[j - 1]
-            # elbow: the traveler exits north at column j, b takes over east
+    def fill(below: tuple[int, ...], j: int, traveler: int,
+             top: tuple[int, ...], cells: tuple[bool, ...]) -> None:
+        if j > len(below):
+            # forced anti-diagonal elbow: the traveler exits here
             if wv[traveler] >= j:
-                fill(j + 1, b, top + (traveler,), cells + (False,), k)
-            # cross: b exits north at column j, the traveler passes over it
-            if wv[traveler] > wv[b] >= j:
-                fill(j + 1, traveler, top + (b,), cells + (True,), k + 1)
+                top += (traveler,)
+                if top not in edges:
+                    edges[top] = []
+                    reached.append(top)
+                edges[top].append((cells + (False,), below))
+            return
+        b = below[j - 1]
+        # elbow: the traveler exits north at column j, b takes over east
+        if wv[traveler] >= j:
+            fill(below, j + 1, b, top + (traveler,), cells + (False,))
+        # cross: b exits north at column j, the traveler passes over it
+        if wv[traveler] > wv[b]:
+            fill(below, j + 1, traveler, top + (b,), cells + (True,))
 
-        fill(1, r, (), (), 0)
-        return moves
+    for below in reached:  # grows as fill reaches new states
+        if len(below) < m:
+            fill(below, 1, m - len(below), (), ())
+    for moves in edges.values():
+        moves.sort(reverse=True)
 
     rows: list[tuple[bool, ...]] = [()] * m
     found: list[RcGraph] = []
 
-    def descend(r: int, below: tuple[int, ...], ncross: int) -> None:
-        if r == 0:
+    def descend(top: tuple[int, ...]) -> None:
+        if not top:
             found.append(RcGraph(tuple(rows)))
             return
-        room = (r - 1) * (2 * m - r) // 2  # decidable cells in rows 1..r-1
-        for top, cells, k in row_moves(r, below):
-            if 0 <= target - (ncross + k) <= room:
-                rows[r - 1] = cells
-                descend(r - 1, top, ncross + k)
+        for cells, below in edges[top]:
+            rows[m - len(top)] = cells
+            descend(below)
 
-    descend(m, (), 0)
-    found.sort(key=lambda d: d.rows, reverse=True)
+    descend(w.inverse().word)
     return found
 
 
