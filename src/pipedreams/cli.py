@@ -36,7 +36,7 @@ from .eg import eg_insert, eg_partition_of, eg_word
 from .multiplicity import schubert_multiplicity_at_identity
 from .perm import NotAPermutationError, Permutation, dominant_singular, zigzag
 from .poly import schubert_polynomial, schubert_via_divided_differences
-from .rcgraph import RcGraph, enumerate_rcgraphs
+from .rcgraph import RcGraph, RcGraphError, enumerate_rcgraphs, zigzag_index
 from .verify import SUITES, run_checks
 
 MAX_PERM_SIZE = 9
@@ -213,20 +213,19 @@ def _cmd_biject(args) -> int:
         try:
             text = Path(args.rc).read_text()
         except FileNotFoundError:
-            print(f"error: --rc file {args.rc} not found", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: --rc file {args.rc} cannot be read: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-        graphs = [RcGraph.from_text(text)]
-        if graphs[0].m != args.n + 1:
-            print(
-                f"error: --rc grid is for S_{graphs[0].m}, but --n {args.n} "
-                f"needs S_{args.n + 1}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(f"--rc file {args.rc} not found") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ValueError(f"--rc file {args.rc} cannot be read: {reason}") from None
+        try:
+            d = RcGraph.from_text(text)
+            zigzag_index(d)
+        except RcGraphError as exc:
+            raise ValueError(f"--rc file {args.rc}: {exc}") from None
+        if d.m != args.n + 1:
+            raise ValueError(f"--rc grid is for S_{d.m}, but --n {args.n} "
+                             f"needs S_{args.n + 1}")
+        graphs = [d]
     else:
         _check_limit("--n", args.n, MAX_BIJECT_N)
         graphs = enumerate_rcgraphs(zigzag(args.n))

@@ -141,6 +141,21 @@ def test_biject_rc_missing_file(capsys, tmp_path):
     assert err == f"error: --rc file {missing} not found\n"
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\n", " cannot be read: 'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte"),
+    (b"+++\n.\n", ": line 1 has 3 characters, expected 2"),
+    (b"+.\n.\n", ": not a filling for the zigzag permutation of S_2"),
+], ids=["undecodable", "malformed", "not-zigzag"])
+def test_biject_rc_bad_content_names_the_flag(capsys, tmp_path, content, reason):
+    rc = tmp_path / "grid.txt"
+    rc.write_bytes(content)
+    code, out, err = run(capsys, "biject", "--n", "1", "--to", "partition",
+                         "--rc", str(rc))
+    assert (code, out) == (1, "")
+    assert err == f"error: --rc file {rc}{reason}\n"
+
+
 def test_biject_rc_file(capsys, tmp_path):
     rc = tmp_path / "bottom.txt"
     rc.write_text("....\n++.\n+.\n.\n")
