@@ -294,8 +294,9 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     and the two tests together reduce to w(traveler) > w(b).  Hence no pair
     crosses twice.  A strand is also dropped where it would exit a row east
     of its target column, at an elbow or the anti-diagonal, since strands
-    move weakly east; these rules only prune states, and the walk from the
-    top state of w alone decides what is listed.
+    move weakly east; b, crossed over, exits where it entered and was
+    tested already.  These rules only prune states: the walk from the top
+    state of w alone decides what is listed.
 
     Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
     Every filling of w has l(w) crosses, so two of them first differ at a
