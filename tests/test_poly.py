@@ -56,6 +56,18 @@ class TestSparsePolynomial:
         assert str(SparsePolynomial.zero()) == "0"
         assert str(SparsePolynomial.one()) == "1"
 
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(1,): 1, (0, 1): -1, (): -2}, "x1 - x2 - 2"),
+            ({(2,): -3}, "-3*x1^2"),
+            ({(0, 0, 2): -1, (1, 1): 7}, "7*x1*x2 - x3^2"),
+        ],
+        ids=["signs-and-constant", "single-term", "leading-7"],
+    )
+    def test_str_negative_coefficients(self, terms, text):
+        assert str(SparsePolynomial(terms)) == text
+
 
 class TestDividedDifferenceKernel:
     def test_matches_sympy_exact_quotient(self):
@@ -147,6 +159,14 @@ class TestQPolynomial:
         assert str(QPolynomial((0, 1, 2, 1, 1))) == "q + 2*q^2 + q^3 + q^4"
         assert str(QPolynomial.zero()) == "0"
         assert str(QPolynomial.one()) == "1"
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [((-1, 0, -1, 3), "-1 - q^2 + 3*q^3"), ((0, -2), "-2*q")],
+        ids=["minus-one-constant", "single-term"],
+    )
+    def test_str_negative_coefficients(self, coeffs, text):
+        assert str(QPolynomial(coeffs)) == text
 
 
 class TestSchubert:
