@@ -17,8 +17,9 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       working near 7,150)
   catalan --n with --q  60 by the recurrence (7.2 s), 13 with --via
       partitions (2.6 s; 14 takes 11 s and 630 MB)
-  biject --n  10 for the whole family (not with --rc); --to eg is the
-      slowest target, 7.0 s
+  biject --n  10 for the whole family, 6.1 s and 154 MB; 450 for one
+      --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
+      target
   multiplicity --n  12, 2.3 s (13 takes 10 s and 440 MB)
   verify --max-n  9, 3.9 s and 25 MB (10 takes about 12 s)
 """
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from .bijections import bracketing_of, partition_of, partition_to_dyck, tree_of
 from .catalan import catalan, q_catalan, q_catalan_via_partitions
-from .eg import eg_insert, eg_partition_of, eg_word
+from .eg import _recording_partition, eg_insert, eg_word
 from .multiplicity import schubert_multiplicity_at_identity
 from .perm import NotAPermutationError, Permutation, dominant_singular, zigzag
 from .poly import schubert_polynomial, schubert_via_divided_differences
@@ -45,6 +46,7 @@ MAX_CATALAN_N = 5000
 MAX_Q_CATALAN_N = 60
 MAX_Q_CATALAN_PARTITIONS_N = 13
 MAX_BIJECT_N = 10
+MAX_BIJECT_RC_N = 450
 MAX_MULTIPLICITY_N = 12
 MAX_VERIFY_N = 9
 
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("biject", help="apply a Catalan bijection to the zigzag family")
     p.add_argument("--n", type=int, required=True,
-                   help=f"at most {MAX_BIJECT_N} unless --rc is given")
+                   help=f"at most {MAX_BIJECT_N}, or {MAX_BIJECT_RC_N} with --rc")
     p.add_argument("--to", choices=("partition", "dyck", "tree", "eg"), required=True)
     p.add_argument("--rc", help="text-format pipe dream file; defaults to the whole family")
     p.set_defaults(func=_cmd_biject)
@@ -202,7 +204,7 @@ def _item(d: RcGraph, n: int, to: str) -> dict:
         p, q = eg_insert(eg_word(d))
         entry["p"] = p.to_json()
         entry["q"] = q.to_json()
-        entry["partition"] = eg_partition_of(d).to_json()
+        entry["partition"] = _recording_partition(q).to_json()
     return entry
 
 
@@ -211,6 +213,7 @@ def _cmd_biject(args) -> int:
         print("error: --n must be positive", file=sys.stderr)
         return 1
     if args.rc:
+        _check_limit("--rc --n", args.n, MAX_BIJECT_RC_N)
         try:
             text = Path(args.rc).read_text()
         except FileNotFoundError:

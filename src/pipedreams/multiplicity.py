@@ -11,6 +11,7 @@ from math import comb
 from .catalan import catalan, q_catalan
 from .perm import Permutation, local_equations_condition, longest_element, zigzag
 from .poly import QPolynomial, schubert_polynomial
+from .rcgraph import turn_row_shift
 
 
 class ConditionNotSatisfiedError(ValueError):
@@ -42,9 +43,8 @@ class SpecializationReport:
 
     ``recurrence_ok`` additionally confirms the turn-row recurrence: the
     specialization decomposes as a sum over the turn row k of
-    q^e(k) F_{k-1} F_{n-k} with
-    e(k) = (k-1) C(n-k, 2) + (n-k+1) C(k-1, 2) + C(n, 2) - C(k, 2),
-    and the right side matches its own defining recurrence.
+    q^e(k) F_{k-1} F_{n-k} with e(k) = ``turn_row_shift(n, k)``, and the
+    right side matches its own defining recurrence.
     """
 
     n: int
@@ -69,14 +69,8 @@ def verify_catalan_specialization(n: int) -> SpecializationReport:
 
     recurrence = QPolynomial.zero()
     for k in range(1, n + 1):
-        e = (
-            (k - 1) * comb(n - k, 2)
-            + (n - k + 1) * comb(k - 1, 2)
-            + comb(n, 2)
-            - comb(k, 2)
-        )
         recurrence = recurrence + (
-            QPolynomial.q_power(e)
+            QPolynomial.q_power(turn_row_shift(n, k))
             * _zigzag_specialization(k - 1)
             * _zigzag_specialization(n - k)
         )

@@ -18,7 +18,8 @@ polynomial or a generic product.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections import Counter
+from typing import Iterable, Mapping
 
 from .perm import Permutation, longest_element
 from .rcgraph import enumerate_rcgraphs
@@ -30,6 +31,16 @@ def _strip(exp: Iterable[int]) -> tuple[int, ...]:
     while end and exp[end - 1] == 0:
         end -= 1
     return exp[:end]
+
+
+def _format(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, factor) terms: a constant (empty factor) prints
+    bare, a coefficient of 1 or -1 as a sign, and no terms as 0."""
+    bits = [
+        f"{c}" if not f else f if c == 1 else f"-{f}" if c == -1 else f"{c}*{f}"
+        for c, f in terms
+    ]
+    return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
 def _check_remainder(
@@ -118,31 +129,12 @@ class QPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> QPolynomial:
-        return cls(tuple(int(c) for c in data))
-
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                bits.append(str(c))
-                continue
-            q = "q" if k == 1 else f"q^{k}"
-            if c == 1:
-                bits.append(q)
-            elif c == -1:
-                bits.append(f"-{q}")
-            else:
-                bits.append(f"{c}*{q}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _format(
+            (c, "" if k == 0 else "q" if k == 1 else f"q^{k}")
+            for k, c in enumerate(self.coeffs)
+            if c
+        )
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.coeffs!r})"
@@ -178,6 +170,13 @@ class SparsePolynomial:
         self.terms = data
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, ...], int]) -> SparsePolynomial:
+        """Wrap a map that is already stripped and free of zero coefficients."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> SparsePolynomial:
         return cls()
 
@@ -194,11 +193,6 @@ class SparsePolynomial:
         """The variable x_i, 1-indexed."""
         return cls.monomial((0,) * (i - 1) + (1,))
 
-    def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Terms sorted lexicographically by exponent vector."""
-        for exp in sorted(self.terms):
-            yield exp, self.terms[exp]
-
     def __add__(self, other: SparsePolynomial) -> SparsePolynomial:
         data = dict(self.terms)
         for exp, coef in other.terms.items():
@@ -207,14 +201,12 @@ class SparsePolynomial:
                 data[exp] = total
             else:
                 del data[exp]
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = data
-        return out
+        return SparsePolynomial._trusted(data)
 
     def __neg__(self) -> SparsePolynomial:
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = {exp: -coef for exp, coef in self.terms.items()}
-        return out
+        return SparsePolynomial._trusted(
+            {exp: -coef for exp, coef in self.terms.items()}
+        )
 
     def __sub__(self, other: SparsePolynomial) -> SparsePolynomial:
         return self + (-other)
@@ -239,9 +231,7 @@ class SparsePolynomial:
                     data[exp] = total
                 else:
                     del data[exp]
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = data
-        return out
+        return SparsePolynomial._trusted(data)
 
     __rmul__ = __mul__
 
@@ -250,17 +240,6 @@ class SparsePolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def swap_variables(self, i: int) -> SparsePolynomial:
-        """Exchange x_i and x_{i+1} in every term."""
-        data: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
-            e = list(exp) + [0] * (i + 1 - len(exp))
-            e[i - 1], e[i] = e[i], e[i - 1]
-            data[_strip(e)] = coef
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = data
-        return out
 
     def divided_difference(self, i: int) -> SparsePolynomial:
         """Apply (f - s_i f) / (x_i - x_{i+1}) with s_i swapping x_i, x_{i+1}.
@@ -295,13 +274,9 @@ class SparsePolynomial:
                 key = head + (a - 1 - t, b + t) + tail
                 quotient[key] = quotient.get(key, 0) + coef
         _check_remainder(rest, quotient, i)
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = {
-            key if key[-1] else _strip(key): coef
-            for key, coef in quotient.items()
-            if coef
-        }
-        return out
+        return SparsePolynomial._trusted(
+            {key if key[-1] else _strip(key): c for key, c in quotient.items() if c}
+        )
 
     def principal_specialization(self) -> QPolynomial:
         """Substitute x_i -> q^(i-1)."""
@@ -322,40 +297,18 @@ class SparsePolynomial:
         """Value at x_1 = x_2 = ... = 1, i.e. the coefficient sum."""
         return sum(self.terms.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"exp": list(exp), "coef": str(coef)}
-                for exp, coef in self.sorted_terms()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> SparsePolynomial:
-        return cls(
-            [(tuple(t["exp"]), int(t["coef"])) for t in data["terms"]]
-        )
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp in sorted(self.terms, reverse=True):
-            coef = self.terms[exp]
-            factors = [
-                f"x{k}" + (f"^{e}" if e > 1 else "")
-                for k, e in enumerate(exp, start=1)
-                if e
-            ]
-            if not factors:
-                bits.append(str(coef))
-            elif coef == 1:
-                bits.append("*".join(factors))
-            elif coef == -1:
-                bits.append("-" + "*".join(factors))
-            else:
-                bits.append(f"{coef}*" + "*".join(factors))
-        return " + ".join(bits).replace("+ -", "- ")
+        return _format(
+            (
+                self.terms[exp],
+                "*".join(
+                    f"x{k}" + (f"^{e}" if e > 1 else "")
+                    for k, e in enumerate(exp, start=1)
+                    if e
+                ),
+            )
+            for exp in sorted(self.terms, reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.terms!r})"
@@ -363,11 +316,7 @@ class SparsePolynomial:
 
 def schubert_polynomial(w: Permutation) -> SparsePolynomial:
     """The pipe dream sum: one monomial per filling, x_i per cross in row i."""
-    terms: dict[tuple[int, ...], int] = {}
-    for d in enumerate_rcgraphs(w):
-        key = d.monomial()
-        terms[key] = terms.get(key, 0) + 1
-    return SparsePolynomial(terms)
+    return SparsePolynomial(Counter(d.monomial() for d in enumerate_rcgraphs(w)))
 
 
 def schubert_via_divided_differences(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 from .perm import Permutation, zigzag
@@ -398,9 +399,10 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     """Cut a zigzag filling along the strand entering the bottom row.
 
     That strand climbs column 1 and exits through column 2; k is the unique
-    row where it occupies both (k, 1) and (k, 2).  Fixing k forces solid
-    crosses in rows 1..k-1 of columns 2..n+2-k and in rows k+1..n of
-    column 1.  Returns ``(k, south, north)`` where south is the sub-filling
+    row where it occupies both (k, 1) and (k, 2), the lowest elbow of column
+    1 above the bottom row, so rows k+1..n of column 1 hold crosses.  Fixing
+    k also forces solid crosses in rows 1..k-1 of columns 2..n+2-k, which are
+    checked.  Returns ``(k, south, north)`` where south is the sub-filling
     on rows k..n, columns 2..n+2-k (a filling for the zigzag of n-k) and
     north is the sub-filling on column 1 and columns n+3-k..n+1 of rows 1..k
     with the forced crosses in between dropped (a filling for the zigzag of
@@ -414,17 +416,19 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
                 raise NotZigzagError(
                     f"expected a forced cross at ({r}, {c}) for turn row {k}"
                 )
-    for r in range(k + 1, n + 1):
-        if not d.is_cross(r, 1):
-            raise NotZigzagError(
-                f"expected a forced cross at ({r}, 1) for turn row {k}"
-            )
     south = RcGraph(tuple(row[1:] for row in d.rows[k - 1:n]))
     north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in d.rows[:k]))
     if (_trace(south.rows) != _zigzag_word(n - k)
             or _trace(north.rows) != _zigzag_word(k - 1)):
         raise NotZigzagError("split parts do not trace zigzag permutations")
     return k, south, north
+
+
+def turn_row_shift(n: int, k: int) -> int:
+    """e(k): the weight of a zigzag-of-n filling with turn row k, less the
+    weights of its split parts."""
+    return ((k - 1) * comb(n - k, 2) + (n + 1 - k) * comb(k - 1, 2)
+            + comb(n, 2) - comb(k, 2))
 
 
 def unsplit(n: int, k: int, south: RcGraph, north: RcGraph) -> RcGraph:

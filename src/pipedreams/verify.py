@@ -59,7 +59,7 @@ from .perm import (
     zigzag,
 )
 from .poly import schubert_polynomial, schubert_via_divided_differences
-from .rcgraph import RcGraph, enumerate_rcgraphs, split
+from .rcgraph import RcGraph, enumerate_rcgraphs, split, turn_row_shift
 
 SUITES = ("prop1", "bijections", "eg", "transpose", "all")
 
@@ -232,15 +232,7 @@ def check_split(max_n: int, family: Family) -> tuple[list[str], str]:
     for n in range(1, max_n + 1):
         for d in family(n):
             k, south, north = split(d)
-            expected = (
-                north.weight()
-                + (k - 1) * comb(n - k, 2)
-                + south.weight()
-                + (n + 1 - k) * comb(k - 1, 2)
-                + comb(n, 2)
-                - comb(k, 2)
-            )
-            if d.weight() != expected:
+            if d.weight() != north.weight() + south.weight() + turn_row_shift(n, k):
                 failures.append(f"n={n}: weight identity fails at k={k}")
     return failures, f"exact for every filling with n<={max_n}"
 

@@ -267,12 +267,14 @@ def test_bad_input_exits_1_with_message(capsys, argv, message):
          "error: --via partitions --n 14 exceeds the limit of 13\n"),
         (("biject", "--n", "11", "--to", "partition"),
          "error: --n 11 exceeds the limit of 10\n"),
+        (("biject", "--n", "451", "--to", "eg", "--rc", "never-read.txt"),
+         "error: --rc --n 451 exceeds the limit of 450\n"),
         (("multiplicity", "--n", "13"), "error: --n 13 exceeds the limit of 12\n"),
         (("verify", "--max-n", "10"), "error: --max-n 10 exceeds the limit of 9\n"),
     ],
     ids=["enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
-         "catalan-q-n", "catalan-partitions-n", "biject-n", "multiplicity-n",
-         "verify-max-n"],
+         "catalan-q-n", "catalan-partitions-n", "biject-n", "biject-rc-n",
+         "multiplicity-n", "verify-max-n"],
 )
 def test_oversized_input_is_refused_up_front(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -284,6 +286,26 @@ def test_biject_limit_applies_to_the_family_only(capsys, tmp_path):
     rc = tmp_path / "bottom11.txt"
     rc.write_text(bottom_rcgraph(11).to_text())
     code, out, err = run(capsys, "biject", "--n", "11", "--to", "partition",
+                         "--rc", str(rc))
+    assert (code, err) == (0, "")
+    assert out.endswith('"partition":[]}]}\n')
+
+
+def test_biject_rc_grid_over_the_limit_is_refused(capsys, tmp_path):
+    # --to tree on a grid this size would pass the interpreter's recursion limit
+    rc = tmp_path / "bottom1000.txt"
+    rc.write_text(bottom_rcgraph(1000).to_text())
+    code, out, err = run(capsys, "biject", "--n", "1000", "--to", "tree",
+                         "--rc", str(rc))
+    assert (code, out) == (1, "")
+    assert err == "error: --rc --n 1000 exceeds the limit of 450\n"
+    assert "Traceback" not in err
+
+
+def test_biject_rc_grid_at_the_limit(capsys, tmp_path):
+    rc = tmp_path / "bottom450.txt"
+    rc.write_text(bottom_rcgraph(450).to_text())
+    code, out, err = run(capsys, "biject", "--n", "450", "--to", "partition",
                          "--rc", str(rc))
     assert (code, err) == (0, "")
     assert out.endswith('"partition":[]}]}\n')

@@ -278,6 +278,22 @@ class TestChuteMoves:
             inverse_chute_move(bottom_rcgraph(3), (2, 1), (3, 1))
         assert err.value.condition == 0
 
+    @pytest.mark.parametrize("text, src, dst, condition, message", [
+        ("....\n++.\n+.\n.", (1, 3), (1, 1), 0,
+         "destination (1, 1) is not strictly below and left of (1, 3)"),
+        ("...\n..\n.", (1, 2), (2, 1), 3,
+         "condition 3 fails: column 1 must be crosses from row 2 to row 2"),
+        # Not a pipe dream: strands 2 and 3 cross twice.  No pipe dream of
+        # S_1..S_7 passes conditions 1-3 and fails condition 4.
+        (".+..\n+..\n..\n.", (1, 3), (2, 1), 4,
+         "condition 4 fails: row 2 must be crosses from column 1 to column 2"),
+    ], ids=["not-below-left", "condition-3", "condition-4"])
+    def test_refusal_names_its_condition(self, text, src, dst, condition, message):
+        with pytest.raises(ChuteMoveError) as err:
+            inverse_chute_move(RcGraph.from_text(text), src, dst)
+        assert err.value.condition == condition
+        assert str(err.value) == message
+
     def test_preserves_permutation_and_cross_count(self):
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
@@ -356,6 +372,19 @@ class TestSplit:
             for d in enumerate_rcgraphs(zigzag(n)):
                 k, south, north = split(d)
                 assert unsplit(n, k, south, north) == d
+
+    @pytest.mark.parametrize("k, part_sizes, message", [
+        (0, (3, 1), "turn row 0 out of range for n=3"),
+        (4, (3, 1), "turn row 4 out of range for n=3"),
+        (1, (1, 1), "part sizes do not match n and k"),
+        (1, (3, 3), "part sizes do not match n and k"),
+    ], ids=["k-0", "k-past-n", "small-south", "large-north"])
+    def test_unsplit_refuses_inconsistent_parts(self, k, part_sizes, message):
+        south, north = (bottom_rcgraph(m - 1) for m in part_sizes)
+        with pytest.raises(ValueError) as err:
+            unsplit(3, k, south, north)
+        assert err.type is ValueError
+        assert str(err.value) == message
 
     def test_parts_trace_smaller_zigzags(self):
         for n in range(1, 6):
