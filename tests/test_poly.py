@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import permutations
 
@@ -90,6 +91,29 @@ class TestDividedDifferenceKernel:
             assert SparsePolynomial(terms).divided_difference(i) == expected
 
         check()
+
+    @pytest.mark.parametrize(
+        "terms, i, expected",
+        [
+            ({(0, 300): 1}, 1, {(299 - t, t): -1 for t in range(300)}),
+            ({(1,): 1}, 3, {}),
+            ({(0, 0, 0, 2): 1}, 3, {(0, 0, 1): -1, (0, 0, 0, 1): -1}),
+            ({(0, 0, 2, 0, 1): 3}, 3, {(0, 0, 1, 0, 1): 3, (0, 0, 0, 1, 1): 3}),
+            ({}, 1, {}),
+            ({(): 5}, 2, {}),
+        ],
+        ids=[
+            "wide-exponent",
+            "key-shorter-than-i",
+            "variable-i-plus-1-only",
+            "key-longer-than-i-plus-1",
+            "zero",
+            "constant",
+        ],
+    )
+    def test_edge_cases(self, terms, i, expected):
+        result = SparsePolynomial(terms).divided_difference(i)
+        assert result.terms == SparsePolynomial(expected).terms
 
     def test_pipe_dream_sum_matches_both_descent_strategies(self):
         pytest.importorskip("hypothesis")
@@ -202,6 +226,22 @@ class TestOracle:
         for n in range(1, 6):
             w = zigzag(n)
             assert schubert_polynomial(w) == schubert_via_divided_differences(w)
+
+    @pytest.mark.parametrize(
+        "max_n, descent, digest",
+        [
+            (7, "first", "676c09676c799db595fb4cf67675aec4a3f463254e7c5003298e4632c8aa2e07"),
+            (6, "last", "3decb1271bab657e1fa8c02b8a2739c39e2d856c382d7b01685cedf7556d8c08"),
+        ],
+    )
+    def test_printed_output_pinned(self, max_n, descent, digest):
+        """sha256 of every printed result on S_1..S_max_n, in lexicographic order."""
+        h = hashlib.sha256()
+        for n in range(1, max_n + 1):
+            for word in permutations(range(1, n + 1)):
+                w = make_perm(word)
+                h.update(f"{w}:{schubert_via_divided_differences(w, descent)}\n".encode())
+        assert h.hexdigest() == digest
 
 
 class TestSpecialization:
