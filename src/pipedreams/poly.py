@@ -9,11 +9,18 @@ divided differences applied to the staircase monomial of the longest
 element; the two routes share only the raw arithmetic, so they cross-check
 each other.
 
-Each divided difference is exact by construction and checked anyway: one
-fused pass over the terms builds the quotient Q and the difference
-f - s_i f, and ``_check_remainder`` confirms f - s_i f = (x_i - x_{i+1}) Q
-coefficient by coefficient, without building the divisor, the swapped
-polynomial or a generic product.
+Divided differences run on packed keys: an exponent vector becomes one
+Python int with a fixed ``width`` of bits per variable, x_k in bits
+width*(k-1) up to width*k.  Swapping x_i and x_{i+1} in a key with exponents
+a, b there is then the single addition key + (a - b) * step, with
+step = 2^(width*i) - 2^(width*(i-1)), and each key of a quotient block is
+one more step from the last.  The kernel is exact by construction and
+checked anyway: one pass over the terms builds the quotient Q and the
+difference f - s_i f, and ``_check_remainder`` confirms
+f - s_i f = (x_i - x_{i+1}) Q coefficient by coefficient.  No field may
+carry into the next; that holds because every exponent the kernel writes,
+quotient and remainder keys included, is at most the largest exponent it
+reads, so a width of that exponent's bit length is enough.
 """
 
 from __future__ import annotations
@@ -43,26 +50,73 @@ def _format(terms: Iterable[tuple[int, str]]) -> str:
     return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
+def _pack(exp: Iterable[int], width: int) -> int:
+    return sum(e << (width * k) for k, e in enumerate(exp))
+
+
+def _unpack(key: int, width: int) -> tuple[int, ...]:
+    """The stripped exponent tuple of a packed key."""
+    mask = (1 << width) - 1
+    exp = []
+    while key:
+        exp.append(key & mask)
+        key >>= width
+    return tuple(exp)
+
+
 def _check_remainder(
-    rest: dict[tuple[int, ...], int],
-    quotient: Mapping[tuple[int, ...], int],
-    i: int,
+    rest: dict[int, int], quotient: Mapping[int, int], i: int, width: int
 ) -> None:
     """Subtract (x_i - x_{i+1}) * quotient from ``rest`` in place and raise
     ArithmeticError unless every entry cancels.
 
-    ``rest`` holds f - s_i f; both maps key exponent tuples padded to at
-    least i + 1 entries, so shifting position i - 1 or i keeps them aligned.
+    ``rest`` holds f - s_i f; both maps key packed exponent vectors of the
+    given field width.
     """
-    ai, bi = i - 1, i
+    low = 1 << (width * (i - 1))
+    step = (low << width) - low
     for key, coef in quotient.items():
-        head, a, b, tail = key[:ai], key[ai], key[bi], key[bi + 1:]
-        times_xi = head + (a + 1, b) + tail
-        rest[times_xi] = rest.get(times_xi, 0) - coef
-        times_xj = head + (a, b + 1) + tail
-        rest[times_xj] = rest.get(times_xj, 0) + coef
+        key += low
+        rest[key] = rest.get(key, 0) - coef
+        key += step
+        rest[key] = rest.get(key, 0) + coef
     if any(rest.values()):
         raise ArithmeticError("divided difference quotient failed the remainder check")
+
+
+def _divided_difference(terms: Mapping[int, int], i: int, width: int) -> dict[int, int]:
+    """(f - s_i f) / (x_i - x_{i+1}) on packed keys, zero coefficients dropped.
+
+    A term x_i^a x_{i+1}^b with a != b pairs with its swap into an
+    antisymmetric difference that divides termwise into the geometric block
+    x_i^(a-1-t) x_{i+1}^(b+t), t < a - b, of the quotient (with the roles and
+    the sign exchanged when a < b); the same pass enters +coef at the term
+    and -coef at its swap into the remainder map that ``_check_remainder``
+    then cancels against the quotient.  Every written exponent is at most
+    max(a, b), so ``width`` bits per field never carry.
+    """
+    shift = width * (i - 1)
+    mask = (1 << width) - 1
+    low = 1 << shift
+    step = (low << width) - low
+    quotient: dict[int, int] = {}
+    rest: dict[int, int] = {}
+    for key, coef in terms.items():
+        fields = key >> shift
+        d = (fields & mask) - (fields >> width & mask)
+        if not d:
+            continue
+        swapped = key + d * step
+        rest[key] = rest.get(key, 0) + coef
+        rest[swapped] = rest.get(swapped, 0) - coef
+        if d < 0:
+            key, d, coef = swapped, -d, -coef
+        key -= low
+        for _ in range(d):
+            quotient[key] = quotient.get(key, 0) + coef
+            key += step
+    _check_remainder(rest, quotient, i, width)
+    return {key: c for key, c in quotient.items() if c}
 
 
 class QPolynomial:
@@ -244,38 +298,22 @@ class SparsePolynomial:
     def divided_difference(self, i: int) -> SparsePolynomial:
         """Apply (f - s_i f) / (x_i - x_{i+1}) with s_i swapping x_i, x_{i+1}.
 
-        One pass over the terms does the division and the check.  A term
-        x_i^a x_{i+1}^b with a != b pairs with its swap into an
-        antisymmetric difference that divides termwise into a geometric
-        block of the quotient Q; the same pass enters +coef at the term and
-        -coef at its swap into a remainder map, which then holds f - s_i f.
-        ``_check_remainder`` subtracts (x_i - x_{i+1}) Q from that map and
-        raises ArithmeticError unless it cancels to zero, so an inexact
-        result can never escape.  Exponent tuples are padded to length
-        i + 1 inside the pass; only the returned quotient is stripped.
+        The terms are packed with a field width of the bit length of their
+        largest exponent (1 when there is none), divided by the packed
+        kernel, which raises ArithmeticError unless the quotient passes the
+        exact remainder check, and unpacked into stripped tuples.  No
+        exponent of the quotient or the remainder exceeds the largest one of
+        f, so no field carries into the next.  Raises ValueError for i < 1.
         """
-        ai, bi = i - 1, i
-        pad = (0,) * (i + 1)
-        quotient: dict[tuple[int, ...], int] = {}
-        rest: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
-            if len(exp) <= bi:
-                exp = exp + pad[len(exp):]
-            a, b = exp[ai], exp[bi]
-            if a == b:
-                continue
-            head, tail = exp[:ai], exp[bi + 1:]
-            rest[exp] = rest.get(exp, 0) + coef
-            swapped = head + (b, a) + tail
-            rest[swapped] = rest.get(swapped, 0) - coef
-            if a < b:
-                a, b, coef = b, a, -coef
-            for t in range(a - b):
-                key = head + (a - 1 - t, b + t) + tail
-                quotient[key] = quotient.get(key, 0) + coef
-        _check_remainder(rest, quotient, i)
+        if i < 1:
+            raise ValueError(f"divided difference needs i >= 1, got i = {i}")
+        width = max((e for exp in self.terms for e in exp), default=1).bit_length()
+        packed = {_pack(exp, width): coef for exp, coef in self.terms.items()}
         return SparsePolynomial._trusted(
-            {key if key[-1] else _strip(key): c for key, c in quotient.items() if c}
+            {
+                _unpack(key, width): coef
+                for key, coef in _divided_difference(packed, i, width).items()
+            }
         )
 
     def principal_specialization(self) -> QPolynomial:
@@ -316,7 +354,9 @@ class SparsePolynomial:
 
 def schubert_polynomial(w: Permutation) -> SparsePolynomial:
     """The pipe dream sum: one monomial per filling, x_i per cross in row i."""
-    return SparsePolynomial(Counter(d.monomial() for d in enumerate_rcgraphs(w)))
+    return SparsePolynomial._trusted(
+        Counter(d.monomial() for d in enumerate_rcgraphs(w))
+    )
 
 
 def schubert_via_divided_differences(
@@ -330,17 +370,24 @@ def schubert_via_divided_differences(
     satisfy the braid relations, so any descent-picking strategy gives the
     same answer; ``descent`` ("first" or "last") exists so tests can confirm
     that.
+
+    The chain packs x^delta once, with the field width of m - 1, the
+    largest exponent any step reads or writes, runs every step on packed
+    keys and unpacks once at the end.
     """
     if descent not in ("first", "last"):
         raise ValueError(f"unknown descent strategy {descent!r}")
     m = w.size
-    f = SparsePolynomial.monomial(tuple(range(m - 1, 0, -1)))
+    width = max(m - 1, 1).bit_length()
+    f = {_pack(range(m - 1, 0, -1), width): 1}
     u = list((w.inverse() * longest_element(m)).word)
     while True:
         positions = [i for i in range(1, m) if u[i - 1] > u[i]]
         if not positions:
             break
         i = positions[0] if descent == "first" else positions[-1]
-        f = f.divided_difference(i)
+        f = _divided_difference(f, i, width)
         u[i - 1], u[i] = u[i], u[i - 1]
-    return f
+    return SparsePolynomial._trusted(
+        {_unpack(key, width): coef for key, coef in f.items()}
+    )

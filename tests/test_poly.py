@@ -115,6 +115,11 @@ class TestDividedDifferenceKernel:
         result = SparsePolynomial(terms).divided_difference(i)
         assert result.terms == SparsePolynomial(expected).terms
 
+    @pytest.mark.parametrize("i", (0, -1, -2))
+    def test_index_below_one_raises_value_error(self, i):
+        with pytest.raises(ValueError, match=f"i = {i}"):
+            SparsePolynomial({(2, 1): 1}).divided_difference(i)
+
     def test_pipe_dream_sum_matches_both_descent_strategies(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
@@ -135,12 +140,18 @@ class TestDividedDifferenceKernel:
         check()
 
 
-# (f - s_i f, exact quotient, i), exponent tuples padded to length >= i + 1:
+# (f - s_i f, exact quotient, i) on keys packed REMAINDER_WIDTH bits per
+# variable, x1 in the lowest field, so 0b01_00_10_01 is x1 x2^2 x4:
 # x1^3 - x2^3 = (x1 - x2)(x1^2 + x1 x2 + x2^2) and
 # x1 x2^2 x4 - x1 x3^2 x4 = (x2 - x3)(x1 x2 x4 + x1 x3 x4).
+REMAINDER_WIDTH = 2
 REMAINDER_CASES = [
-    ({(3, 0): 1, (0, 3): -1}, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, 1),
-    ({(1, 2, 0, 1): 1, (1, 0, 2, 1): -1}, {(1, 1, 0, 1): 1, (1, 0, 1, 1): 1}, 2),
+    ({0b00_11: 1, 0b11_00: -1}, {0b00_10: 1, 0b01_01: 1, 0b10_00: 1}, 1),
+    (
+        {0b01_00_10_01: 1, 0b01_10_00_01: -1},
+        {0b01_00_01_01: 1, 0b01_01_00_01: 1},
+        2,
+    ),
 ]
 
 
@@ -148,7 +159,7 @@ class TestRemainderCheck:
     @pytest.mark.parametrize("rest, quotient, i", REMAINDER_CASES)
     def test_exact_quotient_passes(self, rest, quotient, i):
         rest = dict(rest)
-        _check_remainder(rest, quotient, i)
+        _check_remainder(rest, quotient, i, REMAINDER_WIDTH)
         assert not any(rest.values())
 
     @pytest.mark.parametrize("rest, quotient, i", REMAINDER_CASES)
@@ -158,7 +169,7 @@ class TestRemainderCheck:
             wrong = dict(quotient)
             wrong[key] += delta
             with pytest.raises(ArithmeticError, match="remainder check"):
-                _check_remainder(dict(rest), wrong, i)
+                _check_remainder(dict(rest), wrong, i, REMAINDER_WIDTH)
 
 
 class TestQPolynomial:
