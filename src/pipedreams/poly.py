@@ -84,7 +84,9 @@ def _check_remainder(
         raise ArithmeticError("divided difference quotient failed the remainder check")
 
 
-def _divided_difference(terms: Mapping[int, int], i: int, width: int) -> dict[int, int]:
+def _divided_difference(
+    terms: Mapping[int, int], i: int, width: int
+) -> dict[int, int]:
     """(f - s_i f) / (x_i - x_{i+1}) on packed keys, zero coefficients dropped.
 
     A term x_i^a x_{i+1}^b with a != b pairs with its swap into an
@@ -353,7 +355,11 @@ class SparsePolynomial:
 
 
 def schubert_polynomial(w: Permutation) -> SparsePolynomial:
-    """The pipe dream sum: one monomial per filling, x_i per cross in row i."""
+    """The pipe dream sum: one monomial per filling, x_i per cross in row i.
+
+    ``monomial()`` returns stripped keys and every count is at least 1, so
+    the counter is wrapped as it stands.
+    """
     return SparsePolynomial._trusted(
         Counter(d.monomial() for d in enumerate_rcgraphs(w))
     )
