@@ -241,9 +241,13 @@ def test_golden_stdout_more_commands(capsys, argv, expected):
         (("catalan", "--n", "-1"), "error: --n must be nonnegative\n"),
         (("catalan", "--n", "5", "--via", "partitions"),
          "error: --via requires --q\n"),
+        (("biject", "--n", "0", "--to", "tree"), "error: --n must be positive\n"),
+        (("verify", "--max-n", "0"), "error: --max-n must be positive\n"),
+        (("multiplicity", "--n", "0"), "error: --n must be positive\n"),
     ],
     ids=["perm-repeated-entry", "perm-not-a-number", "catalan-negative",
-         "via-without-q"],
+         "via-without-q", "biject-n-zero", "verify-max-n-zero",
+         "multiplicity-n-zero"],
 )
 def test_bad_input_exits_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
