@@ -108,9 +108,6 @@ class DyckPath:
     def n(self) -> int:
         return len(self.steps) // 2
 
-    def __str__(self) -> str:
-        return self.steps
-
 
 def partition_to_dyck(p: Partition, n: int) -> DyckPath:
     """Encode a staircase partition as a Dyck path.
@@ -227,14 +224,6 @@ class BinaryTree:
         if self.is_leaf():
             return self.label
         return [self.left.to_nested(), self.right.to_nested()]
-
-    @classmethod
-    def from_nested(cls, obj) -> BinaryTree:
-        if isinstance(obj, int):
-            return cls.leaf(obj)
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return cls.node(cls.from_nested(obj[0]), cls.from_nested(obj[1]))
-        raise ValueError(f"cannot read a binary tree from {obj!r}")
 
 
 def bracketing_of(d: RcGraph) -> Bracketing:

@@ -32,9 +32,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def part(self, k: int) -> int:
         """The k-th part, 1-indexed; zero past the last part."""
         return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0

@@ -173,11 +173,9 @@ def _cmd_specialize(args) -> int:
 
 def _cmd_catalan(args) -> int:
     if args.n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 1
+        raise ValueError("--n must be nonnegative")
     if args.via and not args.q:
-        print("error: --via requires --q", file=sys.stderr)
-        return 1
+        raise ValueError("--via requires --q")
     if args.via == "partitions":
         _check_limit("--via partitions --n", args.n, MAX_Q_CATALAN_PARTITIONS_N)
         print(q_catalan_via_partitions(args.n))
@@ -210,8 +208,7 @@ def _item(d: RcGraph, n: int, to: str) -> dict:
 
 def _cmd_biject(args) -> int:
     if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("--n must be positive")
     if args.rc:
         _check_limit("--rc --n", args.n, MAX_BIJECT_RC_N)
         try:
@@ -240,8 +237,7 @@ def _cmd_biject(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.max_n < 1:
-        print("error: --max-n must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("--max-n must be positive")
     _check_limit("--max-n", args.max_n, MAX_VERIFY_N)
     results = run_checks(args.suite, args.max_n)
     failed = [r for r in results if not r.passed]
@@ -258,8 +254,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_multiplicity(args) -> int:
     if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("--n must be positive")
     _check_limit("--n", args.n, MAX_MULTIPLICITY_N)
     print(schubert_multiplicity_at_identity(dominant_singular(args.n)))
     return 0

@@ -71,9 +71,6 @@ class Tableau:
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in r) for r in self.rows)
-
 
 def _transposed(rows) -> tuple[tuple[int, ...], ...]:
     if not rows:

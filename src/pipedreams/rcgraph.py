@@ -121,10 +121,6 @@ class RcGraph:
             rows.append(tuple(ch == "+" for ch in line))
         return cls(tuple(rows))
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> RcGraph:
-        return cls.from_crosses(int(data["m"]), [tuple(c) for c in data["crosses"]])
-
     # -- basic geometry ----------------------------------------------------
 
     @property
@@ -157,9 +153,6 @@ class RcGraph:
             for j, c in enumerate(row[:-1], start=1)
             if not c
         )
-
-    def cross_count(self) -> int:
-        return sum(sum(row) for row in self.rows)
 
     # -- semantics ---------------------------------------------------------
 
@@ -205,9 +198,6 @@ class RcGraph:
         for (i, j), value in changes.items():
             rows[i - 1][j - 1] = value
         return RcGraph(tuple(tuple(r) for r in rows))
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def _trace(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:

@@ -216,7 +216,8 @@ class TestTrees:
     def test_parse_and_nested_form(self):
         t = tree_of(bracketing_of(bottom_rcgraph(3)))
         assert t.to_nested() == [1, [2, [3, 4]]]
-        assert BinaryTree.from_nested([1, [2, [3, 4]]]) == t
+        leaf, node = BinaryTree.leaf, BinaryTree.node
+        assert node(leaf(1), node(leaf(2), node(leaf(3), leaf(4)))) == t
 
     def test_flip_three_leaves(self):
         right = tree_of(Bracketing(3, ((1, 3), (2, 3))))  # (1(2 3))

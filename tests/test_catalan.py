@@ -90,8 +90,8 @@ class TestQCatalan:
     def test_degree_and_constant_term(self):
         for n in range(11):
             p = q_catalan(n)
-            assert p.degree == comb(n, 2)
-            assert p.coefficient(0) == 1
+            assert len(p.coeffs) - 1 == comb(n, 2)
+            assert p.coeffs[0] == 1
 
 
 class TestStaircasePartitions:

@@ -26,18 +26,18 @@ class TestSparsePolynomial:
         assert p.terms == {(1,): 5}
         assert SparsePolynomial({(1,): 0}).terms == {}
 
-    def test_arithmetic(self):
-        x1 = SparsePolynomial.variable(1)
-        x2 = SparsePolynomial.variable(2)
-        assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
-        assert (x1 - x1) == SparsePolynomial.zero()
-        assert SparsePolynomial.one() * x2 == x2
+    def test_product(self):
+        x2 = SparsePolynomial({(0, 1): 1})
+        # (x1 + x2)(x1 - x2) = x1^2 - x2^2
+        assert SparsePolynomial({(1,): 1, (0, 1): 1}) * SparsePolynomial(
+            {(1,): 1, (0, 1): -1}
+        ) == SparsePolynomial({(2,): 1, (0, 2): -1})
+        assert SparsePolynomial({(): 1}) * x2 == x2
 
     def test_divided_difference_of_symmetric_is_zero(self):
-        x1 = SparsePolynomial.variable(1)
-        x2 = SparsePolynomial.variable(2)
-        sym = x1 * x2 + x1 + x2
-        assert sym.divided_difference(1) == SparsePolynomial.zero()
+        # x1 x2 + x1 + x2
+        sym = SparsePolynomial({(1, 1): 1, (1,): 1, (0, 1): 1})
+        assert sym.divided_difference(1) == SparsePolynomial()
 
     def test_divided_difference_basic(self):
         # (x1^2 - x2^2) / (x1 - x2) = x1 + x2
@@ -48,8 +48,8 @@ class TestSparsePolynomial:
         assert str(SCHUBERT_1432) == (
             "x1^2*x2 + x1^2*x3 + x1*x2^2 + x1*x2*x3 + x2^2*x3"
         )
-        assert str(SparsePolynomial.zero()) == "0"
-        assert str(SparsePolynomial.one()) == "1"
+        assert str(SparsePolynomial()) == "0"
+        assert str(SparsePolynomial({(): 1})) == "1"
 
     @pytest.mark.parametrize(
         "terms, text",
@@ -181,7 +181,7 @@ class TestQPolynomial:
         one_plus_q = QPolynomial((1, 1))
         assert one_plus_q * one_plus_q == QPolynomial((1, 2, 1))
         assert one_plus_q + QPolynomial((0, -1)) == QPolynomial.one()
-        assert QPolynomial.q_power(3).degree == 3
+        assert QPolynomial.q_power(3).coeffs == (0, 0, 0, 1)
         assert (2 * one_plus_q).at_one() == 4
 
     def test_str(self):
@@ -203,7 +203,7 @@ class TestSchubert:
         assert schubert_polynomial(make_perm([1, 4, 3, 2])) == SCHUBERT_1432
 
     def test_identity(self):
-        assert schubert_polynomial(identity(3)) == SparsePolynomial.one()
+        assert schubert_polynomial(identity(3)) == SparsePolynomial({(): 1})
 
     def test_embedding_invariance(self):
         w = make_perm([1, 4, 3, 2])
@@ -270,7 +270,7 @@ class TestSpecialization:
         assert spec == QPolynomial((0, 1, 2, 1, 1))
 
     def test_constant(self):
-        assert SparsePolynomial.one().principal_specialization() == QPolynomial.one()
+        assert SparsePolynomial({(): 1}).principal_specialization() == QPolynomial.one()
 
     def test_single_monomial(self):
         # x1^2 x2 -> q
@@ -290,7 +290,7 @@ class TestSpecialization:
 class TestEvaluateAllOnes:
     def test_frozen(self):
         assert SCHUBERT_1432.evaluate_all_ones() == 5
-        assert SparsePolynomial.one().evaluate_all_ones() == 1
+        assert SparsePolynomial({(): 1}).evaluate_all_ones() == 1
 
     def test_zigzag5(self):
         assert schubert_polynomial(zigzag(5)).evaluate_all_ones() == 42
