@@ -67,6 +67,7 @@ from .poly import (
     QPolynomial,
     SparsePolynomial,
     schubert_polynomial,
+    schubert_specialization,
     schubert_via_divided_differences,
 )
 from .rcgraph import (
@@ -79,6 +80,7 @@ from .rcgraph import (
     RcGraphError,
     bottom_rcgraph,
     chute_closure,
+    count_rcgraphs,
     enumerate_rcgraphs,
     inverse_chute_move,
     split,

@@ -155,9 +155,14 @@ class Bracketing:
     ``pairs`` holds one (open, close) per bracket pair: the left bracket
     sits immediately before letter ``open`` and the right bracket
     immediately after letter ``close``, so the pair encloses the factor
-    open .. close.  Construction sorts the pairs and checks, through
-    ``tree_of``, that they are exactly the factors of one full binary
-    product of the letters.
+    open .. close.  Construction sorts the pairs and checks, in one stack
+    scan, that they are L - 1 distinct pairs with open < close, any two of
+    them nested or disjoint.  That makes them the factors of one full
+    binary product of the letters: a laminar family of distinct intervals
+    of length >= 2 on L letters has at most L - 1 members, and exactly
+    L - 1 only when it contains the whole 1 .. L (adding the whole keeps a
+    family laminar) and every member splits into two parts, each a member
+    or a single letter.
     """
 
     letters: int
@@ -176,8 +181,24 @@ class Bracketing:
                 raise MalformedBracketingError(
                     f"pair ({o}, {c}) is out of range"
                 )
+            if o == c:
+                raise MalformedBracketingError(
+                    f"pair ({o}, {c}) encloses a single letter"
+                )
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        tree_of(self)
+        # Outer pairs first: the stack holds the pairs that enclose the
+        # current open, innermost on top.
+        enclosing: list[tuple[int, int]] = []
+        for o, c in sorted(self.pairs, key=lambda pair: (pair[0], -pair[1])):
+            while enclosing and enclosing[-1][1] < o:
+                enclosing.pop()
+            if enclosing and enclosing[-1] == (o, c):
+                raise MalformedBracketingError(f"pair ({o}, {c}) appears twice")
+            if enclosing and enclosing[-1][1] < c:
+                raise MalformedBracketingError(
+                    f"pairs {enclosing[-1]} and ({o}, {c}) overlap"
+                )
+            enclosing.append((o, c))
 
     def __str__(self) -> str:
         def render(t: BinaryTree) -> str:

@@ -95,11 +95,34 @@ def q_catalan(n: int) -> QPolynomial:
 
 def q_catalan_via_partitions(n: int) -> QPolynomial:
     """The same polynomial as sum over staircase partitions p of
-    q^(binom(n,2) - |p|); an independent route to q_catalan."""
-    coeffs = [0] * (comb(n, 2) + 1)
-    for p in enumerate_staircase_partitions(n):
-        coeffs[comb(n, 2) - p.size] += 1
-    return QPolynomial(tuple(coeffs))
+    q^(binom(n,2) - |p|); an independent route to q_catalan.
+
+    It splits by parts, not by first return: ``sizes(k, bound)`` is the
+    histogram of |tail| over the tails p_k, p_{k+1}, ... whose first part is
+    at most bound, branching as ``enumerate_staircase_partitions`` does: the
+    empty tail, or a part p <= min(bound, n - k) followed by a tail from
+    k + 1 bounded by p.  No partition is built, and the memo lives for one
+    call.  The largest size is |staircase(n)| = binom(n, 2), so the reversed
+    histogram is the coefficient list.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    memo: dict[tuple[int, int], list[int]] = {}
+
+    def sizes(k: int, bound: int) -> list[int]:
+        bound = min(bound, n - k)
+        key = (k, bound)
+        if key not in memo:
+            hist = [1]
+            for p in range(1, bound + 1):
+                tail = sizes(k + 1, p)
+                hist.extend([0] * (p + len(tail) - len(hist)))
+                for s, x in enumerate(tail, p):
+                    hist[s] += x
+            memo[key] = hist
+        return memo[key]
+
+    return QPolynomial(reversed(sizes(1, n)))
 
 
 def enumerate_staircase_partitions(n: int) -> list[Partition]:

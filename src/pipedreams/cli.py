@@ -15,12 +15,12 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       51 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
-  catalan --n with --q  60 by the recurrence (7.2 s), 13 with --via
-      partitions (2.6 s; 14 takes 11 s and 630 MB)
+  catalan --n with --q  60 by the recurrence (7.2 s), 80 with --via
+      partitions (7.4 s and 182 MB; 90 takes 10.6 s and 288 MB)
   biject --n  10 for the whole family, 6.1 s and 154 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target
-  multiplicity --n  12, 2.3 s (13 takes 10 s and 440 MB)
+  multiplicity --n  17, 5.6 s and 230 MB (18 takes 14 s and 471 MB)
   verify --max-n  9, 3.9 s and 25 MB (10 takes about 12 s)
 """
 
@@ -37,17 +37,27 @@ from .catalan import catalan, q_catalan, q_catalan_via_partitions
 from .eg import _recording_partition, eg_insert, eg_word
 from .multiplicity import schubert_multiplicity_at_identity
 from .perm import NotAPermutationError, Permutation, dominant_singular, zigzag
-from .poly import schubert_polynomial, schubert_via_divided_differences
-from .rcgraph import RcGraph, RcGraphError, enumerate_rcgraphs, zigzag_index
+from .poly import (
+    schubert_polynomial,
+    schubert_specialization,
+    schubert_via_divided_differences,
+)
+from .rcgraph import (
+    RcGraph,
+    RcGraphError,
+    count_rcgraphs,
+    enumerate_rcgraphs,
+    zigzag_index,
+)
 from .verify import SUITES, run_checks
 
 MAX_PERM_SIZE = 9
 MAX_CATALAN_N = 5000
 MAX_Q_CATALAN_N = 60
-MAX_Q_CATALAN_PARTITIONS_N = 13
+MAX_Q_CATALAN_PARTITIONS_N = 80
 MAX_BIJECT_N = 10
 MAX_BIJECT_RC_N = 450
-MAX_MULTIPLICITY_N = 12
+MAX_MULTIPLICITY_N = 17
 MAX_VERIFY_N = 9
 
 
@@ -166,8 +176,7 @@ def _cmd_schubert(args) -> int:
 
 def _cmd_specialize(args) -> int:
     w = _perm(args.perm)
-    spec = schubert_polynomial(w).principal_specialization()
-    print(spec.at_one() if args.at_one else spec)
+    print(count_rcgraphs(w) if args.at_one else schubert_specialization(w))
     return 0
 
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .catalan import catalan, q_catalan
+from .catalan import q_catalan
 from .perm import Permutation, local_equations_condition, longest_element, zigzag
-from .poly import QPolynomial, schubert_polynomial
-from .rcgraph import turn_row_shift
+from .poly import QPolynomial, schubert_specialization
+from .rcgraph import count_rcgraphs, turn_row_shift
 
 
 class ConditionNotSatisfiedError(ValueError):
@@ -24,8 +24,9 @@ def schubert_multiplicity_at_identity(w: Permutation) -> int:
 
     For permutations in the guarded class the local equations at that point
     are exactly the matrix Schubert equations, whose degree is the value of
-    the Schubert polynomial of w0*w at all ones.  Permutations outside the
-    class are refused rather than approximated.
+    the Schubert polynomial of w0*w at all ones: its number of pipe dreams,
+    which ``count_rcgraphs`` gives without listing them.  Permutations
+    outside the class are refused rather than approximated.
     """
     if not local_equations_condition(w):
         raise ConditionNotSatisfiedError(
@@ -33,7 +34,7 @@ def schubert_multiplicity_at_identity(w: Permutation) -> int:
             "((w0 w)^{-1}(i) <= j or (w0 w)(j) <= i for all i + j > m), "
             "so the degree formula does not apply"
         )
-    return schubert_polynomial(longest_element(w.size) * w).evaluate_all_ones()
+    return count_rcgraphs(longest_element(w.size) * w)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class SpecializationReport:
 
 @lru_cache(maxsize=None)
 def _zigzag_specialization(k: int) -> QPolynomial:
-    return schubert_polynomial(zigzag(k)).principal_specialization()
+    return schubert_specialization(zigzag(k))
 
 
 def verify_catalan_specialization(n: int) -> SpecializationReport:

@@ -29,7 +29,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .perm import Permutation, longest_element
-from .rcgraph import enumerate_rcgraphs
+from .rcgraph import enumerate_rcgraphs, fold_rcgraphs
 
 
 def _strip(exp: Iterable[int]) -> tuple[int, ...]:
@@ -267,7 +267,7 @@ class SparsePolynomial:
         )
 
     def principal_specialization(self) -> QPolynomial:
-        """Substitute x_i -> q^(i-1)."""
+        """Substitute x_i -> q^(i-1); the oracle of ``schubert_specialization``."""
         if not self.terms:
             return QPolynomial.zero()
         coeffs = [0] * (
@@ -311,6 +311,28 @@ def schubert_polynomial(w: Permutation) -> SparsePolynomial:
     return SparsePolynomial._trusted(
         Counter(d.monomial() for d in enumerate_rcgraphs(w))
     )
+
+
+def schubert_specialization(w: Permutation) -> QPolynomial:
+    """The principal specialisation of the Schubert polynomial of w,
+    x_i -> q^(i-1), without listing the fillings.
+
+    ``fold_rcgraphs`` folds a coefficient list per state: a row r with c
+    crosses contributes q^((r-1)c), so its edge shifts the list of the
+    state below by (r-1)c places.  Equal to
+    ``schubert_polynomial(w).principal_specialization()``.
+    """
+
+    def combine(r: int, parts: list[tuple[int, list[int]]]) -> list[int]:
+        out: list[int] = []
+        for c, coeffs in parts:
+            shift = (r - 1) * c
+            out.extend([0] * (shift + len(coeffs) - len(out)))
+            for k, x in enumerate(coeffs, shift):
+                out[k] += x
+        return out
+
+    return QPolynomial(fold_rcgraphs(w, [1], combine))
 
 
 def schubert_via_divided_differences(

@@ -21,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .perm import Permutation, zigzag
+
+T = TypeVar("T")
 
 
 class RcGraphError(ValueError):
@@ -263,17 +265,16 @@ def bottom_rcgraph(n: int) -> RcGraph:
                    + tuple((True,) * (n - k) + (False,) for k in range(1, n + 1)))
 
 
-def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
-    """All pipe dreams for w, without duplicates, in canonical order.
+def _row_graph(w: Permutation) -> dict[tuple[int, ...], list]:
+    """The graph of row states for w, one edge per admissible row filling.
 
-    Two passes over one graph of states.  A state is the tuple of strands
-    crossing a row boundary, column by column; its length gives the row.
-    The first pass goes up from the empty state below row m: each reached
-    state entering row r is expanded once, and every admissible filling of
-    the row is recorded as an edge (the row's cells, the state below) of the
-    state leaving its top.  The second pass walks the edges down from the
-    state above row 1 that traces w, which is the inverse word of w.  Every
-    state it meets was reached from the bottom, so no walk is a dead end.
+    A state is the tuple of strands crossing a row boundary, column by
+    column; its length gives the row.  The pass goes up from the empty state
+    below row m: each reached state entering row r is expanded once, and
+    every admissible filling of the row is recorded as an edge (the row's
+    cells, the state below) of the state leaving its top.  Every state
+    reached is a key, and every path down from a key ends at the empty
+    state, so a walk from any key meets no dead end.
 
     A cross is placed only on a pair that has not crossed yet and whose
     targets are inverted in w.  No set of crossed pairs is kept: along the
@@ -287,12 +288,7 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     of its target column, at an elbow or the anti-diagonal, since strands
     move weakly east; b, crossed over, exits where it entered and was
     tested already.  These rules only prune states: the walk from the top
-    state of w alone decides what is listed.
-
-    Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
-    Every filling of w has l(w) crosses, so two of them first differ at a
-    cell where exactly one has a cross, and that one sorts first.  The walk
-    takes the rows top down and each state's edges sorted True first.
+    state of w, its inverse word, alone decides which fillings count.
     """
     m = w.size
     wv = (0,) + w.word
@@ -321,6 +317,23 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     for below in reached:  # grows as fill reaches new states
         if len(below) < m:
             fill(below, 1, m - len(below), (), ())
+    return edges
+
+
+def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
+    """All pipe dreams for w, without duplicates, in canonical order.
+
+    The walk takes the edges of ``_row_graph`` down from the state above
+    row 1 that traces w, which is the inverse word of w, and lists one
+    filling per path to the empty state.
+
+    Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
+    Every filling of w has l(w) crosses, so two of them first differ at a
+    cell where exactly one has a cross, and that one sorts first.  The walk
+    takes the rows top down and each state's edges sorted True first.
+    """
+    m = w.size
+    edges = _row_graph(w)
     for moves in edges.values():
         moves.sort(reverse=True)
 
@@ -337,6 +350,38 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
 
     descend(w.inverse().word)
     return found
+
+
+def fold_rcgraphs(w: Permutation, leaf: T,
+                  combine: Callable[[int, list[tuple[int, T]]], T]) -> T:
+    """Fold a weight over the pipe dreams for w without listing them.
+
+    One memoised walk down ``_row_graph`` from the state w^-1.  The empty
+    state below the last row weighs ``leaf``; a state leaving the top of
+    row r weighs combine(r, parts), where parts holds (c, weight of the
+    state below) for each edge, c being the row's cross count.  A weight is
+    computed once per state, so the work is one part per edge, however
+    many fillings pass through it.  ``combine`` must not mutate the weights
+    it is given, which other states share.
+    """
+    m = w.size
+    edges = _row_graph(w)
+    memo: dict[tuple[int, ...], T] = {(): leaf}
+
+    def weight(top: tuple[int, ...]) -> T:
+        if top not in memo:
+            memo[top] = combine(m + 1 - len(top), [
+                (sum(cells), weight(below)) for cells, below in edges[top]
+            ])
+        return memo[top]
+
+    return weight(w.inverse().word)
+
+
+def count_rcgraphs(w: Permutation) -> int:
+    """The number of pipe dreams for w, len(enumerate_rcgraphs(w)), by
+    ``fold_rcgraphs``: each state counts the paths below it."""
+    return fold_rcgraphs(w, 1, lambda r, parts: sum(x for _, x in parts))
 
 
 def inverse_chute_move(d: RcGraph, src: tuple[int, int],

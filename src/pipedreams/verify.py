@@ -14,7 +14,10 @@ takes the round trip from a partition through its filling as already done
 when ``rcgraph_of`` returned that filling.  [6] inserts each word once and
 reads both the evacuation and the EG partition from that recording tableau.
 [7] compares bracketings by ``==``, which agrees with comparing their
-strings, so it builds no tree for rendering.
+strings, and a bracketing is validated by one scan over its pairs, so [7]
+builds no tree.  The checks that only count or sum build no objects: [2]
+and [9] fold over the row graph of each permutation (``fold_rcgraphs``),
+and [10] sums partition sizes by a transfer over parts.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .eg import (
 )
 from .multiplicity import schubert_multiplicity_at_identity, verify_catalan_specialization
 from .perm import (
-    Permutation,
     dominant_singular,
     local_equations_condition,
     make_perm,

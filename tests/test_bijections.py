@@ -23,7 +23,6 @@ from pipedreams.catalan import (
     Partition,
     catalan,
     enumerate_staircase_partitions,
-    fits_staircase,
     staircase,
 )
 from pipedreams.perm import make_perm, zigzag

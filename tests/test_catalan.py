@@ -1,5 +1,6 @@
 import inspect
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -66,8 +67,21 @@ class TestQCatalan:
         assert q_catalan(3) == QPolynomial((1, 2, 1, 1))
 
     def test_cross_method(self):
-        for n in range(11):
+        for n in range(31):
             assert q_catalan(n) == q_catalan_via_partitions(n)
+
+    def test_partition_transfer_is_the_size_histogram(self):
+        for n in range(11):
+            top = comb(n, 2)
+            sizes = Counter(top - p.size for p in enumerate_staircase_partitions(n))
+            assert q_catalan_via_partitions(n).coeffs == tuple(
+                sizes[k] for k in range(top + 1)
+            )
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_n_raises(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            q_catalan_via_partitions(n)
 
     def test_cold_cache_keeps_the_stack_flat(self):
         # With a cold cache a recursive fill would nest about n frames deep;

@@ -217,12 +217,14 @@ BIJECT_EG = (
         (("catalan", "--n", "5", "--q", "--via", "recurrence"), CATALAN_Q_5),
         (("catalan", "--n", "5", "--q", "--via", "partitions"), CATALAN_Q_5),
         (("multiplicity", "--n", "3"), "5\n"),
+        (("specialize", "--perm", "1,4,3,2", "--at-one"), "5\n"),
         (("biject", "--n", "3", "--to", "dyck"), BIJECT_DYCK),
         (("biject", "--n", "3", "--to", "tree"), BIJECT_TREE),
         (("biject", "--n", "3", "--to", "eg"), BIJECT_EG),
     ],
     ids=["catalan", "catalan-q", "catalan-q-recurrence", "catalan-q-partitions",
-         "multiplicity", "biject-dyck", "biject-tree", "biject-eg"],
+         "multiplicity", "specialize-at-one", "biject-dyck", "biject-tree",
+         "biject-eg"],
 )
 def test_golden_stdout_more_commands(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
@@ -267,13 +269,13 @@ def test_bad_input_exits_1_with_message(capsys, argv, message):
         (("catalan", "--n", "5001"), "error: --n 5001 exceeds the limit of 5000\n"),
         (("catalan", "--n", "2000", "--q"),
          "error: --q --n 2000 exceeds the limit of 60\n"),
-        (("catalan", "--n", "14", "--q", "--via", "partitions"),
-         "error: --via partitions --n 14 exceeds the limit of 13\n"),
+        (("catalan", "--n", "81", "--q", "--via", "partitions"),
+         "error: --via partitions --n 81 exceeds the limit of 80\n"),
         (("biject", "--n", "11", "--to", "partition"),
          "error: --n 11 exceeds the limit of 10\n"),
         (("biject", "--n", "451", "--to", "eg", "--rc", "never-read.txt"),
          "error: --rc --n 451 exceeds the limit of 450\n"),
-        (("multiplicity", "--n", "13"), "error: --n 13 exceeds the limit of 12\n"),
+        (("multiplicity", "--n", "18"), "error: --n 18 exceeds the limit of 17\n"),
         (("verify", "--max-n", "10"), "error: --max-n 10 exceeds the limit of 9\n"),
     ],
     ids=["enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from pipedreams.bijections import partition_of
-from pipedreams.catalan import Partition, catalan, staircase
+from pipedreams.catalan import Partition, staircase
 from pipedreams.eg import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,

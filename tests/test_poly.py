@@ -4,15 +4,17 @@ from itertools import permutations
 
 import pytest
 
+from pipedreams.catalan import catalan
 from pipedreams.perm import identity, longest_element, make_perm, zigzag, embed
 from pipedreams.poly import (
     QPolynomial,
     SparsePolynomial,
     _check_remainder,
     schubert_polynomial,
+    schubert_specialization,
     schubert_via_divided_differences,
 )
-from pipedreams.rcgraph import enumerate_rcgraphs
+from pipedreams.rcgraph import count_rcgraphs, enumerate_rcgraphs
 
 # x2^2 x3 + x1 x2 x3 + x1^2 x3 + x1 x2^2 + x1^2 x2
 SCHUBERT_1432 = SparsePolynomial(
@@ -285,6 +287,46 @@ class TestSpecialization:
             weights = Counter(d.weight() for d in enumerate_rcgraphs(w))
             expected = tuple(weights.get(k, 0) for k in range(max(weights) + 1))
             assert spec.coeffs == expected
+
+
+class TestRowTransferFolds:
+    """The folds over the row graph against the listing they replace."""
+
+    @staticmethod
+    def assert_fold_matches_listing(w):
+        assert count_rcgraphs(w) == len(enumerate_rcgraphs(w)), w
+        assert schubert_specialization(w) == (
+            schubert_polynomial(w).principal_specialization()
+        ), w
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_permutation(self, m):
+        for word in permutations(range(1, m + 1)):
+            self.assert_fold_matches_listing(make_perm(word))
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_zigzag(self, n):
+        self.assert_fold_matches_listing(zigzag(n))
+
+    def test_random_permutations(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        words = st.integers(1, 7).flatmap(
+            lambda m: st.permutations(range(1, m + 1))
+        )
+
+        @settings(max_examples=100, deadline=None)
+        @given(word=words)
+        def check(word):
+            self.assert_fold_matches_listing(make_perm(word))
+
+        check()
+
+    def test_zigzag_count_is_catalan(self):
+        for n in range(15):
+            assert count_rcgraphs(zigzag(n)) == catalan(n), n
 
 
 class TestEvaluateAllOnes:
