@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, count
 
 from .catalan import Partition, fits_staircase
 from .rcgraph import RcGraph, zigzag_index
@@ -38,11 +38,17 @@ class MalformedBracketingError(ValueError):
 
 def partition_of(d: RcGraph) -> Partition:
     """The partition whose conjugate collects row - 1 over the elbows off
-    the anti-diagonal (row-one elbows contribute nothing)."""
+    the anti-diagonal (row-one elbows contribute nothing).
+
+    Part k is therefore the number of those elbows in rows k+1 .. m, and
+    row i holds ``row.count(False) - 1`` of them, one fewer than its
+    elbows because its anti-diagonal cell is always one.  The parts are
+    the suffix sums of these counts, read from the bottom row up.
+    """
     zigzag_index(d)
-    conj = Partition(tuple(sorted((i - 1 for i, _ in d.elbows() if i > 1),
-                                  reverse=True)))
-    return conj.conjugate()
+    parts = list(accumulate(row.count(False) - 1 for row in d.rows[:0:-1]))
+    parts.reverse()
+    return Partition(tuple(filter(None, parts)))
 
 
 def rcgraph_of(p: Partition, n: int) -> RcGraph:

@@ -17,11 +17,11 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       working near 7,150)
   catalan --n with --q  60 by the recurrence (7.2 s), 80 with --via
       partitions (7.4 s and 182 MB; 90 takes 10.6 s and 288 MB)
-  biject --n  10 for the whole family, 6.1 s and 154 MB; 450 for one
+  biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target
   multiplicity --n  17, 5.6 s and 230 MB (18 takes 14 s and 471 MB)
-  verify --max-n  9, 3.9 s and 25 MB (10 takes about 12 s)
+  verify --max-n  10, 5.1-8.2 s and 38 MB (9 takes 1.4-2.6 s and 22 MB)
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ MAX_Q_CATALAN_PARTITIONS_N = 80
 MAX_BIJECT_N = 10
 MAX_BIJECT_RC_N = 450
 MAX_MULTIPLICITY_N = 17
-MAX_VERIFY_N = 9
+MAX_VERIFY_N = 10
 
 
 class _Parser(argparse.ArgumentParser):

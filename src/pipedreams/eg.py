@@ -22,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
+from operator import lt
 
 from .catalan import Partition
 from .perm import zigzag
@@ -53,12 +55,13 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.rows, self.rows[1:]):
+        rows = self.rows
+        for a, b in zip(rows, rows[1:]):
             if len(b) > len(a):
                 raise ValueError("row lengths must weakly decrease")
-        if any(len(r) == 0 for r in self.rows):
+        if not all(rows):
             raise ValueError("empty rows are not stored")
-        if any(e < 1 for r in self.rows for e in r):
+        if rows and min(map(min, rows)) < 1:
             raise ValueError("entries must be positive")
 
     @property
@@ -73,12 +76,21 @@ class Tableau:
 
 
 def _transposed(rows) -> tuple[tuple[int, ...], ...]:
-    if not rows:
-        return ()
+    """The columns of rows whose lengths weakly decrease, in one pass.
+
+    ``zip_longest`` pads the short rows with None, and each column is cut
+    at its first pad.  None and not 0 is the pad, because the entries of a
+    word that ``eg_insert`` is about to reject can be 0 or negative.
+    """
     return tuple(
-        tuple(rows[r][c] for r in range(len(rows)) if c < len(rows[r]))
-        for c in range(len(rows[0]))
+        col if col[-1] is not None else col[:col.index(None)]
+        for col in zip_longest(*rows)
     )
+
+
+def _strict(seq) -> bool:
+    """Whether seq strictly increases."""
+    return all(map(lt, seq, seq[1:]))
 
 
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
@@ -95,37 +107,9 @@ def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
     return tuple(pairs)
 
 
-def _insert_letter(p_rows: list[list[int]], q_rows: list[list[int]],
-                   a: int, x: int) -> None:
-    r = 0
-    while True:
-        if r == len(p_rows):
-            p_rows.append([x])
-            q_rows.append([a])
-            return
-        row = p_rows[r]
-        idx = bisect_left(row, x)
-        if idx < len(row) and row[idx] == x:
-            # x already present: only legal when x+1 sits next to it, in
-            # which case the row stays put and x+1 bumps instead
-            if idx + 1 < len(row) and row[idx + 1] == x + 1:
-                x = x + 1
-                r += 1
-                continue
-            raise InsertionError(
-                f"letter {x} repeats in row {r + 1} without {x + 1}"
-            )
-        if idx == len(row):
-            row.append(x)
-            q_rows[r].append(a)
-            return
-        x, row[idx] = row[idx], x
-        r += 1
-
-
 def _check_rows_strict(rows: list[list[int]], what: str) -> None:
     for r in rows:
-        if any(a >= b for a, b in zip(r, r[1:])):
+        if not _strict(r):
             raise InsertionError(f"{what} has a non-strict row {r}")
 
 
@@ -135,19 +119,36 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for a, x in word:
-        _insert_letter(p_rows, q_rows, a, x)
+        for r, row in enumerate(p_rows):
+            idx = bisect_left(row, x)
+            if idx == len(row):
+                row.append(x)
+                q_rows[r].append(a)
+                break
+            y = row[idx]
+            if y == x:
+                # x already present: only legal when x+1 sits next to it,
+                # in which case the row stays put and x+1 bumps instead
+                if idx + 1 < len(row) and row[idx + 1] == x + 1:
+                    x += 1
+                    continue
+                raise InsertionError(
+                    f"letter {x} repeats in row {r + 1} without {x + 1}"
+                )
+            row[idx] = x
+            x = y
+        else:
+            p_rows.append([x])
+            q_rows.append([a])
     _check_rows_strict(p_rows, "insertion tableau")
-    for c in range(len(p_rows[0]) if p_rows else 0):
-        column = [r[c] for r in p_rows if c < len(r)]
-        if any(a >= b for a, b in zip(column, column[1:])):
+    p = _transposed(p_rows)
+    for column in p:
+        if not _strict(column):
             raise InsertionError(
-                f"insertion tableau has a non-strict column {column}"
+                f"insertion tableau has a non-strict column {list(column)}"
             )
     _check_rows_strict(q_rows, "recording tableau")
-    return (
-        Tableau(_transposed(tuple(map(tuple, p_rows)))),
-        Tableau(_transposed(tuple(map(tuple, q_rows)))),
-    )
+    return Tableau(p), Tableau(_transposed(q_rows))
 
 
 @lru_cache(maxsize=None)
@@ -169,13 +170,13 @@ def evacuate(q: Tableau, n: int) -> BiWord:
     row as the alpha letters.
     """
     p_ref = [list(r) for r in _family_insertion_rows(n)]
-    qq = [list(r) for r in q.transpose().rows]
+    qq = [list(r) for r in _transposed(q.rows)]
     if [len(r) for r in qq] != [len(r) for r in p_ref]:
         raise InvalidQTableauError(
             f"shape {tuple(len(r) for r in qq)} is not the staircase of {n}"
         )
     for r in qq:
-        if any(a >= b for a, b in zip(r, r[1:])):
+        if not _strict(r):
             raise InvalidQTableauError(f"labels are not strict along row {r}")
     pairs: list[tuple[int, int]] = []
     for _ in range(sum(len(r) for r in qq)):
@@ -224,12 +225,12 @@ def _recording_partition(q: Tableau) -> Partition:
     tableau q."""
     counts: list[int] = []
     for r, row in enumerate(q.rows, start=1):
-        matching = [c for c, label in enumerate(row, start=1) if label == r]
-        if matching != list(range(1, len(matching) + 1)):
+        k = row.count(r)
+        if row[:k].count(r) != k:
             raise NonPartitionBoxesError(
                 f"boxes labelled {r} in row {r} are not left-justified"
             )
-        counts.append(len(matching))
+        counts.append(k)
     while counts and counts[-1] == 0:
         counts.pop()
     if any(a < b for a, b in zip(counts, counts[1:])):
@@ -241,11 +242,7 @@ def _recording_partition(q: Tableau) -> Partition:
 
 def q_label_row_check(q: Tableau) -> bool:
     """Whether every label i of the recording tableau sits in row i-1 or i."""
-    return all(
-        label in (r, r + 1)
-        for r, row in enumerate(q.rows, start=1)
-        for label in row
-    )
+    return all({*row} <= {r, r + 1} for r, row in enumerate(q.rows, start=1))
 
 
 def reading_direction_report(n: int) -> dict:

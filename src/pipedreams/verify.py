@@ -11,8 +11,13 @@ checks that walk the zigzag families take them from ``family``, which
 Per filling, each check pays its bijection work once.  The zigzag guards
 compare a strand trace with a cached word and build no permutation.  [5]
 takes the round trip from a partition through its filling as already done
-when ``rcgraph_of`` returned that filling.  [6] inserts each word once and
-reads both the evacuation and the EG partition from that recording tableau.
+when ``rcgraph_of`` returned that filling, and ``partition_of`` reads the
+parts as suffix sums of per-row elbow counts, with no conjugate.  [6]
+inserts each word once and reads both the evacuation and the EG partition
+from that recording tableau; the tableaux are transposed in one
+``zip_longest`` pass and their strictness and label checks run per row or
+column in C (``map``, ``min``, ``count``, set inclusion), not per entry in
+Python.
 [7] compares bracketings by ``==``, which agrees with comparing their
 strings, and a bracketing is validated by one scan over its pairs, so [7]
 builds no tree.  The checks that only count or sum build no objects: [2]

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -32,6 +32,7 @@ from pipedreams.rcgraph import (
     bottom_rcgraph,
     enumerate_rcgraphs,
     inverse_chute_move,
+    zigzag_index,
 )
 
 # (crosses, partition, bracketing) for the five fillings of 1,4,3,2
@@ -86,6 +87,36 @@ class TestPartitionOf:
             images = {partition_of(d) for d in enumerate_rcgraphs(zigzag(n))}
             assert len(images) == catalan(n)
             assert images == set(enumerate_staircase_partitions(n))
+
+
+def ref_partition_of(d):
+    """The elbow-list-and-conjugate partition_of that the suffix sums
+    replaced (oracle)."""
+    zigzag_index(d)
+    conj = Partition(tuple(sorted((i - 1 for i, _ in d.elbows() if i > 1),
+                                  reverse=True)))
+    return conj.conjugate()
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+class TestPartitionOfOracle:
+    def test_every_zigzag_filling(self):
+        for n in range(1, 9):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                assert partition_of(d) == ref_partition_of(d)
+
+    def test_every_filling_of_small_symmetric_groups(self):
+        for m in range(1, 7):
+            for w in permutations(range(1, m + 1)):
+                for d in enumerate_rcgraphs(make_perm(w)):
+                    assert outcome(partition_of, d) == outcome(ref_partition_of, d)
 
 
 class TestRcgraphOf:

@@ -276,7 +276,7 @@ def test_bad_input_exits_1_with_message(capsys, argv, message):
         (("biject", "--n", "451", "--to", "eg", "--rc", "never-read.txt"),
          "error: --rc --n 451 exceeds the limit of 450\n"),
         (("multiplicity", "--n", "18"), "error: --n 18 exceeds the limit of 17\n"),
-        (("verify", "--max-n", "10"), "error: --max-n 10 exceeds the limit of 9\n"),
+        (("verify", "--max-n", "11"), "error: --max-n 11 exceeds the limit of 10\n"),
     ],
     ids=["enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
          "catalan-q-n", "catalan-partitions-n", "biject-n", "biject-rc-n",
