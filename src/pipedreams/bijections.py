@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, count
+from operator import itemgetter
 
 from .catalan import Partition, fits_staircase
 from .rcgraph import RcGraph, zigzag_index
@@ -61,6 +62,8 @@ def rcgraph_of(p: Partition, n: int) -> RcGraph:
     once: the new top o starts the merged factor o .. c, whose pair is the
     elbow (k+1, o).  All other cells off the anti-diagonal are crosses.
     The stack never runs short exactly when p fits inside the staircase.
+    The parts are read from one tuple, (n, p_1, ..., p_{n-1}) padded with
+    zeros, whose entry k less entry k+1 counts the closes in row k+1.
     """
     if not fits_staircase(p, n):
         raise PartitionBoundsError(
@@ -69,12 +72,12 @@ def rcgraph_of(p: Partition, n: int) -> RcGraph:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rows = [[True] * (n - k) + [False] for k in range(n + 1)]
+    parts = (n,) + p.parts + (0,) * (n + 1 - len(p.parts))
     opens: list[int] = []
     for c in range(1, n + 2):
         opens.append(c)
         k = n + 1 - c
-        closes = p.part(k) - p.part(k + 1) if k else n - p.part(1)
-        for _ in range(closes):
+        for _ in range(parts[k] - parts[k + 1]):
             opens.pop()
             rows[k][opens[-1] - 1] = False
     return RcGraph(tuple(map(tuple, rows)))
@@ -191,11 +194,16 @@ class Bracketing:
                 raise MalformedBracketingError(
                     f"pair ({o}, {c}) encloses a single letter"
                 )
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        # Outer pairs first: the stack holds the pairs that enclose the
-        # current open, innermost on top.
+        pairs = sorted(self.pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        # Outer pairs first: opens ascending, and the largest close first
+        # for each open, which a stable sort by open alone of the reversed
+        # pairs gives.  The stack holds the pairs that enclose the current
+        # open, innermost on top.
+        pairs.reverse()
+        pairs.sort(key=itemgetter(0))
         enclosing: list[tuple[int, int]] = []
-        for o, c in sorted(self.pairs, key=lambda pair: (pair[0], -pair[1])):
+        for o, c in pairs:
             while enclosing and enclosing[-1][1] < o:
                 enclosing.pop()
             if enclosing and enclosing[-1] == (o, c):
@@ -255,18 +263,25 @@ class BinaryTree:
 
 def bracketing_of(d: RcGraph) -> Bracketing:
     """One bracket pair per elbow off the anti-diagonal: the elbow at (i, j)
-    opens before letter j and closes after letter n+2-i."""
+    opens before letter j and closes after letter n+2-i.  Each row is
+    scanned for its elbows by ``index``, which ends at the anti-diagonal
+    elbow, and ``Bracketing`` sorts the pairs."""
     n = zigzag_index(d)
-    return Bracketing(
-        n + 1, tuple(sorted((j, n + 2 - i) for i, j in d.elbows()))
-    )
+    pairs: list[tuple[int, int]] = []
+    for close, row in zip(range(n + 1, 0, -1), d.rows):
+        last = len(row) - 1
+        j = row.index(False)
+        while j < last:
+            pairs.append((j + 1, close))
+            j = row.index(False, j + 1)
+    return Bracketing(n + 1, tuple(pairs))
 
 
 def reverse_bracketing(b: Bracketing) -> Bracketing:
     """Reverse the string together with its brackets (letters keep reading
     1 .. n+1; every pair (o, c) becomes (L+1-c, L+1-o))."""
     L = b.letters
-    return Bracketing(L, tuple(sorted((L + 1 - c, L + 1 - o) for o, c in b.pairs)))
+    return Bracketing(L, tuple((L + 1 - c, L + 1 - o) for o, c in b.pairs))
 
 
 def tree_of(b: Bracketing) -> BinaryTree:

@@ -21,7 +21,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target
   multiplicity --n  17, 5.6 s and 230 MB (18 takes 14 s and 471 MB)
-  verify --max-n  10, 5.1-8.2 s and 38 MB (9 takes 1.4-2.6 s and 22 MB)
+  verify --max-n  10, 3.7 s on a quiet host and up to 7.8 s on a slow
+      one, 47 MB (9 takes 1.0 s and 24 MB)
 """
 
 from __future__ import annotations

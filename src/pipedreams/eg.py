@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, repeat, zip_longest
 from operator import lt
 
 from .catalan import Partition
@@ -95,15 +95,17 @@ def _strict(seq) -> bool:
 
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
     """The two-row word of a filling: pairs (i, i + j) over the crosses,
-    rows top to bottom, each row scanned in the given direction."""
+    rows top to bottom, each row scanned in the given direction.  A row's
+    letters are its alphas i + 1 .. i + len(row) compressed by its cells."""
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown reading direction {direction!r}")
+    backwards = direction == RIGHT_TO_LEFT
     pairs: list[tuple[int, int]] = []
     for i, row in enumerate(d.rows, start=1):
-        cols = [j for j, c in enumerate(row, start=1) if c]
-        if direction == RIGHT_TO_LEFT:
-            cols.reverse()
-        pairs.extend((i, i + j) for j in cols)
+        alphas = range(i + 1, i + 1 + len(row))
+        if backwards:
+            alphas, row = reversed(alphas), reversed(row)
+        pairs += zip(repeat(i), compress(alphas, row))
     return tuple(pairs)
 
 

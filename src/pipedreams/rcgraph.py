@@ -19,7 +19,8 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import zip_longest
 from math import comb
 from typing import Callable, Iterable, TypeVar
 
@@ -158,13 +159,24 @@ class RcGraph:
 
     # -- semantics ---------------------------------------------------------
 
+    @cached_property
+    def exit_word(self) -> tuple[int, ...]:
+        """The strand exiting at each column, which is the inverse word of
+        the traced permutation.
+
+        The rows are swept once per grid and the word is kept on it.  A
+        grid that is not reduced raises NotReducedError on every access,
+        since a raise leaves nothing cached.  The word is not a field, so
+        equality, hashing, ``repr`` and the serialized forms ignore it.
+        """
+        return _trace(self.rows)
+
     def permutation(self) -> Permutation:
         """Trace all strands and return the permutation they realise.
 
         Raises NotReducedError as soon as a pair of strands crosses twice.
         """
-        # the exit word lists the strand at each column: the inverse word
-        return Permutation(_trace(self.rows)).inverse()
+        return Permutation(self.exit_word).inverse()
 
     def weight(self) -> int:
         """Sum of (row - 1) over all crosses."""
@@ -178,9 +190,15 @@ class RcGraph:
         return tuple(counts)
 
     def transpose(self) -> RcGraph:
-        """Reflect across the main diagonal; the traced permutation inverts."""
-        rows, m = self.rows, self.m
-        return RcGraph(tuple(tuple(row[j] for row in rows[:m - j]) for j in range(m)))
+        """Reflect across the main diagonal; the traced permutation inverts.
+
+        Column j of the staircase is the first m - j entries of the j-th
+        tuple of ``zip_longest`` over the rows, the rest being its padding.
+        """
+        m = self.m
+        return RcGraph(tuple(
+            col[:m - j] for j, col in enumerate(zip_longest(*self.rows))
+        ))
 
     # -- serialization -----------------------------------------------------
 
@@ -241,7 +259,7 @@ def _trace(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _zigzag_word(n: int) -> tuple[int, ...]:
     """The word of zigzag(n); the zigzag is an involution, so this is also
-    the exit word ``_trace`` returns for its fillings."""
+    the exit word of its fillings."""
     return zigzag(n).word
 
 
@@ -249,7 +267,7 @@ def zigzag_index(d: RcGraph, min_n: int = 0) -> int:
     """The n for which d is a filling of the zigzag of n; raises
     NotZigzagError when d traces another permutation or n < min_n."""
     n = d.m - 1
-    if n < min_n or _trace(d.rows) != _zigzag_word(n):
+    if n < min_n or d.exit_word != _zigzag_word(n):
         raise NotZigzagError(
             f"not a filling for the zigzag permutation of S_{d.m}"
         )
@@ -437,24 +455,27 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     row where it occupies both (k, 1) and (k, 2), the lowest elbow of column
     1 above the bottom row, so rows k+1..n of column 1 hold crosses.  Fixing
     k also forces solid crosses in rows 1..k-1 of columns 2..n+2-k, which are
-    checked.  Returns ``(k, south, north)`` where south is the sub-filling
-    on rows k..n, columns 2..n+2-k (a filling for the zigzag of n-k) and
-    north is the sub-filling on column 1 and columns n+3-k..n+1 of rows 1..k
-    with the forced crosses in between dropped (a filling for the zigzag of
-    k-1).  Both are reindexed to self-contained staircases.
+    checked one row slice at a time.  Returns ``(k, south, north)`` where
+    south is the sub-filling on rows k..n, columns 2..n+2-k (a filling for
+    the zigzag of n-k) and north is the sub-filling on column 1 and columns
+    n+3-k..n+1 of rows 1..k with the forced crosses in between dropped (a
+    filling for the zigzag of k-1).  Both are reindexed to self-contained
+    staircases, and each sweeps its own strands once.
     """
     n = zigzag_index(d, min_n=1)
-    k = max(r for r in range(1, n + 1) if not d.is_cross(r, 1))
-    for r in range(1, k):
-        for c in range(2, n + 3 - k):
-            if not d.is_cross(r, c):
-                raise NotZigzagError(
-                    f"expected a forced cross at ({r}, {c}) for turn row {k}"
-                )
-    south = RcGraph(tuple(row[1:] for row in d.rows[k - 1:n]))
-    north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in d.rows[:k]))
-    if (_trace(south.rows) != _zigzag_word(n - k)
-            or _trace(north.rows) != _zigzag_word(k - 1)):
+    rows = d.rows
+    column = [row[0] for row in rows[:n]]
+    k = n - column[::-1].index(False)
+    for r, row in enumerate(rows[:k - 1], start=1):
+        if False in row[1:n + 2 - k]:
+            raise NotZigzagError(
+                f"expected a forced cross at ({r}, {row.index(False, 1) + 1}) "
+                f"for turn row {k}"
+            )
+    south = RcGraph(tuple(row[1:] for row in rows[k - 1:n]))
+    north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in rows[:k]))
+    if (south.exit_word != _zigzag_word(n - k)
+            or north.exit_word != _zigzag_word(k - 1)):
         raise NotZigzagError("split parts do not trace zigzag permutations")
     return k, south, north
 

@@ -5,24 +5,35 @@ exact (no tolerances), and each returns its list of failures together with
 the short human-readable detail line reported when that list is empty.
 ``run_checks`` turns these into CheckResults; a check that raises is
 reported as a failure naming the exception, and the run carries on.  The
-checks that walk the zigzag families take them from ``family``, which
-``run_checks`` memoises, so each family is enumerated once per run.
+checks that walk the zigzag families take them from ``family``, and [5]
+and [5d] take the staircase partitions from ``partitions``; ``run_checks``
+memoises both, so each family and each partition list is built once per
+run.
 
 Per filling, each check pays its bijection work once.  The zigzag guards
-compare a strand trace with a cached word and build no permutation.  [5]
-takes the round trip from a partition through its filling as already done
-when ``rcgraph_of`` returned that filling, and ``partition_of`` reads the
-parts as suffix sums of per-row elbow counts, with no conjugate.  [6]
+compare a grid's exit word with a cached word and build no permutation,
+and a grid sweeps its strands once, on the first guard, and keeps the
+word: a filling is swept once across [5]-[8], and its transpose and split
+parts, which are other grids, once each.  The kernels read a grid by rows,
+not cells: ``split`` finds its turn row and checks its forced crosses by
+row slices, ``bracketing_of`` finds each row's elbows by ``index``,
+``eg_word`` takes each row's letters by one ``compress``, ``transpose``
+takes each column from one ``zip_longest`` tuple, and ``rcgraph_of``
+reads its closes from one padded tuple of parts.  [5] takes the round
+trip from a partition through its filling as already done when
+``rcgraph_of`` returned that filling, and ``partition_of`` reads the parts
+as suffix sums of per-row elbow counts, with no conjugate.  [6]
 inserts each word once and reads both the evacuation and the EG partition
 from that recording tableau; the tableaux are transposed in one
 ``zip_longest`` pass and their strictness and label checks run per row or
 column in C (``map``, ``min``, ``count``, set inclusion), not per entry in
 Python.
 [7] compares bracketings by ``==``, which agrees with comparing their
-strings, and a bracketing is validated by one scan over its pairs, so [7]
-builds no tree.  The checks that only count or sum build no objects: [2]
-and [9] fold over the row graph of each permutation (``fold_rcgraphs``),
-and [10] sums partition sizes by a transfer over parts.
+strings, and a bracketing is validated by one scan over its pairs, put in
+scan order by C-level sorts with no Python key, so [7] builds no tree.
+The checks that only count or sum build no objects: [2] and [9] fold over
+the row graph of each permutation (``fold_rcgraphs``), and [10] sums
+partition sizes by a transfer over parts.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .bijections import (
     reverse_bracketing,
 )
 from .catalan import (
+    Partition,
     catalan,
     enumerate_staircase_partitions,
     fits_staircase,
@@ -71,6 +83,7 @@ from .rcgraph import RcGraph, enumerate_rcgraphs, split, turn_row_shift
 SUITES = ("prop1", "bijections", "eg", "transpose", "all")
 
 Family = Callable[[int], list[RcGraph]]
+Partitions = Callable[[int], list[Partition]]
 
 
 @dataclass
@@ -136,7 +149,8 @@ def check_oracle(max_n: int) -> tuple[list[str], str]:
     return failures, f"all of S_4 and zigzag n<={zig_max}"
 
 
-def check_partition_bijection(max_n: int, family: Family) -> tuple[list[str], str]:
+def check_partition_bijection(max_n: int, family: Family,
+                              partitions: Partitions) -> tuple[list[str], str]:
     """partition_of is a bijection onto the staircase partitions, with
     rcgraph_of as inverse and the weight law binom(n+1,3) - |p|."""
     failures = []
@@ -156,7 +170,7 @@ def check_partition_bijection(max_n: int, family: Family) -> tuple[list[str], st
                 failures.append(f"n={n}: rcgraph_of does not invert at {p}")
             else:
                 inverted.add(p)
-        targets = enumerate_staircase_partitions(n)
+        targets = partitions(n)
         if sorted(seen, key=lambda q: q.parts) != targets:
             failures.append(f"n={n}: image is not all of the staircase set")
         # rcgraph_of(p) == d with partition_of(d) == p is a round trip
@@ -166,11 +180,11 @@ def check_partition_bijection(max_n: int, family: Family) -> tuple[list[str], st
     return failures, f"bijective with inverse and weight law for n<={max_n}"
 
 
-def check_dyck_transport(max_n: int) -> tuple[list[str], str]:
+def check_dyck_transport(max_n: int, partitions: Partitions) -> tuple[list[str], str]:
     """Dyck path coding round-trips and carries the area statistic."""
     failures = []
     for n in range(1, max_n + 1):
-        for p in enumerate_staircase_partitions(n):
+        for p in partitions(n):
             path = partition_to_dyck(p, n)
             if dyck_to_partition(path) != p:
                 failures.append(f"n={n}: path round trip fails at {p}")
@@ -278,6 +292,7 @@ def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     family = cache(lambda n: enumerate_rcgraphs(zigzag(n)))
+    partitions = cache(enumerate_staircase_partitions)
     plan = [
         ("1", "five fillings of 1,4,3,2", "prop1", check_figure_family, ()),
         ("2", "q-Catalan specialization identity", "prop1",
@@ -287,8 +302,9 @@ def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
         ("4", "divided-difference oracle equivalence", "prop1",
          check_oracle, (max_n,)),
         ("5", "elementary partition bijection", "bijections",
-         check_partition_bijection, (max_n, family)),
-        ("5d", "Dyck path coding", "bijections", check_dyck_transport, (max_n,)),
+         check_partition_bijection, (max_n, family, partitions)),
+        ("5d", "Dyck path coding", "bijections",
+         check_dyck_transport, (max_n, partitions)),
         ("6", "Edelman-Greene correspondence", "eg",
          check_eg, (max_n, family)),
         ("7", "transposition reverses bracketings", "transpose",

@@ -23,6 +23,7 @@ from pipedreams.catalan import (
     Partition,
     catalan,
     enumerate_staircase_partitions,
+    fits_staircase,
     staircase,
 )
 from pipedreams.perm import make_perm, zigzag
@@ -240,6 +241,141 @@ class TestBracketing:
                 assert str(bracketing_of(d.transpose())) == str(
                     reverse_bracketing(bracketing_of(d))
                 )
+
+
+# -- reference implementations ------------------------------------------------
+#
+# The cell-by-cell and keyed-sort kernels that the row-level ones replaced,
+# kept verbatim apart from returning plain pair tuples where they built a
+# ``Bracketing``.  The library must give the same result, or raise the same
+# exception type with the same message, on every input below.
+
+
+def ref_rcgraph_of(p, n):
+    if not fits_staircase(p, n):
+        raise PartitionBoundsError(
+            f"{p} does not fit inside the staircase of {n}"
+        )
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rows = [[True] * (n - k) + [False] for k in range(n + 1)]
+    opens = []
+    for c in range(1, n + 2):
+        opens.append(c)
+        k = n + 1 - c
+        closes = p.part(k) - p.part(k + 1) if k else n - p.part(1)
+        for _ in range(closes):
+            opens.pop()
+            rows[k][opens[-1] - 1] = False
+    return RcGraph(tuple(map(tuple, rows)))
+
+
+def ref_bracketing_pairs(letters, pairs):
+    """The checks of ``Bracketing.__post_init__``; returns the sorted pairs."""
+    if letters < 1:
+        raise MalformedBracketingError("need at least one letter")
+    if len(pairs) != letters - 1:
+        raise MalformedBracketingError(
+            f"{len(pairs)} pairs cannot fully bracket {letters} letters"
+        )
+    for o, c in pairs:
+        if not (1 <= o <= c <= letters):
+            raise MalformedBracketingError(f"pair ({o}, {c}) is out of range")
+        if o == c:
+            raise MalformedBracketingError(
+                f"pair ({o}, {c}) encloses a single letter"
+            )
+    enclosing = []
+    for o, c in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
+        while enclosing and enclosing[-1][1] < o:
+            enclosing.pop()
+        if enclosing and enclosing[-1] == (o, c):
+            raise MalformedBracketingError(f"pair ({o}, {c}) appears twice")
+        if enclosing and enclosing[-1][1] < c:
+            raise MalformedBracketingError(
+                f"pairs {enclosing[-1]} and ({o}, {c}) overlap"
+            )
+        enclosing.append((o, c))
+    return tuple(sorted(pairs))
+
+
+def ref_bracketing_of(d):
+    n = zigzag_index(d)
+    return ref_bracketing_pairs(
+        n + 1, tuple(sorted((j, n + 2 - i) for i, j in d.elbows()))
+    )
+
+
+def ref_reverse_pairs(b):
+    L = b.letters
+    return ref_bracketing_pairs(
+        L, tuple(sorted((L + 1 - c, L + 1 - o) for o, c in b.pairs))
+    )
+
+
+def pairs_of(f, *args):
+    """The outcome of f, with a ``Bracketing`` result replaced by its pairs."""
+    kind, result = outcome(f, *args)
+    return (kind, result.pairs) if kind == "ok" else (kind, result)
+
+
+def input_orders(pairs, letters):
+    """The multiset in sorted order, reversed and rotated, and in every
+    order for up to four letters."""
+    if letters <= 4:
+        return set(permutations(pairs))
+    return {pairs, pairs[::-1], pairs[1:] + pairs[:1]}
+
+
+class TestAgainstCellKernelOracle:
+    def test_rcgraph_of_on_every_staircase_partition(self):
+        for n in range(0, 9):
+            for p in enumerate_staircase_partitions(n):
+                assert rcgraph_of(p, n) == ref_rcgraph_of(p, n), (p, n)
+
+    def test_rcgraph_of_on_partitions_that_do_not_fit(self):
+        tried = 0
+        for n in range(-1, 8):
+            for p in enumerate_staircase_partitions(n + 2):
+                if fits_staircase(p, n) and n >= 0:
+                    continue
+                assert outcome(rcgraph_of, p, n) == outcome(ref_rcgraph_of, p, n)
+                tried += 1
+        assert tried > 0
+
+    @pytest.mark.parametrize("letters", range(1, 6))
+    def test_bracketing_on_every_multiset_of_pairs(self, letters):
+        # every in-range slot, and three that are out of range or backwards
+        slots = [(o, c) for o in range(1, letters + 1) for c in range(o, letters + 1)]
+        slots += [(0, 1), (1, letters + 1), (2, 1)]
+        accepted = set()
+        for multiset in combinations_with_replacement(slots, letters - 1):
+            for pairs in input_orders(multiset, letters):
+                got = pairs_of(Bracketing, letters, pairs)
+                assert got == outcome(ref_bracketing_pairs, letters, pairs), pairs
+                if got[0] == "ok":
+                    accepted.add(multiset)
+                    b = Bracketing(letters, pairs)
+                    assert pairs_of(reverse_bracketing, b) == outcome(ref_reverse_pairs, b)
+        assert len(accepted) == catalan(letters - 1)
+
+    def test_bracketing_with_a_wrong_number_of_pairs(self):
+        for letters, pairs in [(3, ()), (3, ((1, 2),)), (2, ((1, 2), (1, 2))),
+                               (1, ((1, 2),)), (0, ()), (-1, ())]:
+            assert pairs_of(Bracketing, letters, pairs) == outcome(
+                ref_bracketing_pairs, letters, pairs
+            )
+
+    def test_bracketing_of_every_zigzag_filling(self):
+        for n in range(0, 9):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                assert bracketing_of(d).pairs == ref_bracketing_of(d), d
+
+    def test_bracketing_of_every_filling_of_small_symmetric_groups(self):
+        for m in range(1, 6):
+            for w in permutations(range(1, m + 1)):
+                for d in enumerate_rcgraphs(make_perm(w)):
+                    assert pairs_of(bracketing_of, d) == outcome(ref_bracketing_of, d)
 
 
 class TestTrees:

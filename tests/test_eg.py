@@ -53,12 +53,18 @@ class TestEgWord:
         assert eg_word(RcGraph.from_crosses(4, [])) == ()
 
     def test_row_letters_match_cross_rows(self):
-        for d in enumerate_rcgraphs(zigzag(3)):
-            word = eg_word(d)
-            assert Counter(a for a, _ in word) == Counter(i for i, _ in d.crosses())
-            assert all(alpha == a + j for (a, alpha), (i, j) in zip(word, ()) or True for _ in ())
-            for (a, alpha) in word:
-                assert 2 <= alpha <= d.m
+        """Letter k is (i, i + j) for the k-th cross (i, j), crosses taken
+        rows top down and each row in the reading direction."""
+        for direction in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
+            sign = -1 if direction == RIGHT_TO_LEFT else 1
+            for n in range(1, 6):
+                for d in enumerate_rcgraphs(zigzag(n)):
+                    word = eg_word(d, direction)
+                    cells = sorted(d.crosses(), key=lambda c: (c[0], sign * c[1]))
+                    assert len(word) == len(cells)
+                    for (a, alpha), (i, j) in zip(word, cells):
+                        assert (a, alpha - a) == (i, j), (d, direction)
+                        assert 2 <= alpha <= d.m
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
@@ -363,6 +369,19 @@ def ref_recording_partition(q_rows):
     return Partition(tuple(counts))
 
 
+def ref_eg_word(d, direction=RIGHT_TO_LEFT):
+    """The cell-by-cell eg_word that the per-row ``compress`` replaced."""
+    if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
+        raise ValueError(f"unknown reading direction {direction!r}")
+    pairs = []
+    for i, row in enumerate(d.rows, start=1):
+        cols = [j for j, c in enumerate(row, start=1) if c]
+        if direction == RIGHT_TO_LEFT:
+            cols.reverse()
+        pairs.extend((i, i + j) for j in cols)
+    return tuple(pairs)
+
+
 def ref_q_label_row_check(q_rows):
     return all(
         label in (r, r + 1)
@@ -416,6 +435,14 @@ class TestAgainstGeneratorOracle:
             for w in permutations(range(1, m + 1)):
                 for d in enumerate_rcgraphs(make_perm(w)):
                     assert_agrees_on_word(eg_word(d, direction), (m - 1,))
+
+    @pytest.mark.parametrize("direction", [RIGHT_TO_LEFT, LEFT_TO_RIGHT, "diagonal"])
+    def test_eg_word_on_every_filling_of_small_symmetric_groups(self, direction):
+        for m in range(1, 7):
+            for w in permutations(range(1, m + 1)):
+                for d in enumerate_rcgraphs(make_perm(w)):
+                    assert (outcome(eg_word, d, direction)
+                            == outcome(ref_eg_word, d, direction)), d
 
     def test_random_biwords(self):
         pytest.importorskip("hypothesis")

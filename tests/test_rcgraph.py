@@ -17,6 +17,8 @@ from pipedreams.rcgraph import (
     chute_closure,
     enumerate_rcgraphs,
     inverse_chute_move,
+    _trace,
+    _zigzag_word,
     split,
     unsplit,
     zigzag_index,
@@ -422,6 +424,116 @@ def unsplit_by_cross_lists(n, k, south, north):
     crosses += [(i + k - 1, j + 1) for i, j in south.crosses()]
     crosses += [(i, 1) if j == 1 else (i, j + n + 1 - k) for i, j in north.crosses()]
     return RcGraph.from_crosses(n + 1, crosses)
+
+
+def ref_split(d):
+    """The cell-by-cell split, with its guard tracing the rows directly,
+    that the row slices and the exit-word memo replaced (oracle)."""
+    n = d.m - 1
+    if n < 1 or _trace(d.rows) != _zigzag_word(n):
+        raise NotZigzagError(
+            f"not a filling for the zigzag permutation of S_{d.m}"
+        )
+    k = max(r for r in range(1, n + 1) if not d.is_cross(r, 1))
+    for r in range(1, k):
+        for c in range(2, n + 3 - k):
+            if not d.is_cross(r, c):
+                raise NotZigzagError(
+                    f"expected a forced cross at ({r}, {c}) for turn row {k}"
+                )
+    south = RcGraph(tuple(row[1:] for row in d.rows[k - 1:n]))
+    north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in d.rows[:k]))
+    if (_trace(south.rows) != _zigzag_word(n - k)
+            or _trace(north.rows) != _zigzag_word(k - 1)):
+        raise NotZigzagError("split parts do not trace zigzag permutations")
+    return k, south, north
+
+
+def without_one_forced_cross(d):
+    """d with one of the forced crosses of its turn row removed, for each of
+    them: rows 1..k-1 of columns 2..n+2-k."""
+    n = d.m - 1
+    k, _, _ = ref_split(d)
+    for r in range(1, k):
+        for c in range(2, n + 3 - k):
+            yield d._replace({(r, c): False})
+
+
+class TestSplitOracle:
+    def test_every_zigzag_filling(self):
+        for n in range(0, 9):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                assert outcome(split, d) == outcome(ref_split, d), d
+
+    def test_one_forced_cross_removed(self):
+        removed = 0
+        for n in range(2, 9):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                for g in without_one_forced_cross(d):
+                    assert outcome(split, g) == outcome(ref_split, g), g
+                    removed += 1
+        assert removed > 0
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_every_filling_of_small_symmetric_groups(self, m):
+        for word in permutations(range(1, m + 1)):
+            for d in enumerate_rcgraphs(make_perm(word)):
+                assert outcome(split, d) == outcome(ref_split, d), d
+
+    def test_non_reduced_grids(self):
+        for g in every_grid(4):
+            assert outcome(split, g) == outcome(ref_split, g), g
+
+
+class TestExitWordMemo:
+    def test_traced_and_untraced_copies_agree(self):
+        for n in range(0, 6):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                zigzag_index(d)
+                copy = RcGraph(d.rows)
+                assert "exit_word" in vars(d) and "exit_word" not in vars(copy)
+                assert d == copy and hash(d) == hash(copy)
+                assert len({d, copy}) == 1
+                assert repr(d) == repr(copy)
+                assert d.to_json_dict() == copy.to_json_dict()
+                assert d.to_text() == copy.to_text()
+
+    def test_non_reduced_grid_raises_on_every_access(self):
+        g = RcGraph.from_text(".+.\n+.\n.")
+        for _ in range(2):
+            with pytest.raises(NotReducedError, match="^strands 2 and 3 cross twice$"):
+                g.exit_word
+            assert "exit_word" not in vars(g)
+        with pytest.raises(NotReducedError, match="^strands 2 and 3 cross twice$"):
+            g.permutation()
+
+    def test_permutation_unchanged_on_small_symmetric_groups(self):
+        for m in range(1, 7):
+            for word in permutations(range(1, m + 1)):
+                w = make_perm(word)
+                for d in enumerate_rcgraphs(w):
+                    assert d.permutation() == w
+                    assert d.exit_word == w.inverse().word
+                    assert d.permutation() == w
+
+    def test_each_grid_traces_once(self, monkeypatch):
+        from pipedreams import rcgraph
+
+        traced = []
+
+        def counted(rows):
+            traced.append(rows)
+            return _trace(rows)
+
+        monkeypatch.setattr(rcgraph, "_trace", counted)
+        d = enumerate_rcgraphs(zigzag(4))[3]
+        zigzag_index(d)
+        d.permutation()
+        split(d)
+        zigzag_index(d.transpose())
+        # d once, then its two split parts and its transpose, once each
+        assert len(traced) == 4
+        assert traced[0] == d.rows
 
 
 class TestRowBuildersMatchCrossLists:

@@ -1,8 +1,8 @@
 import pytest
 
-from pipedreams import verify
+from pipedreams import rcgraph, verify
 from pipedreams.bijections import Bracketing
-from pipedreams.catalan import Partition
+from pipedreams.catalan import Partition, enumerate_staircase_partitions
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError
 from pipedreams.perm import zigzag
@@ -73,10 +73,33 @@ def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
         calls.append(w)
         return enumerate_rcgraphs(w)
 
+    def counted_partitions(n):
+        partition_calls.append(n)
+        return enumerate_staircase_partitions(n)
+
+    partition_calls = []
     monkeypatch.setattr(verify, "enumerate_rcgraphs", counted)
+    monkeypatch.setattr(verify, "enumerate_staircase_partitions", counted_partitions)
     assert all(r.passed for r in verify.run_checks("all", 4))
     # 1,4,3,2 for check [1], then the zigzags of 1..4 once each
     assert len(calls) == 5
+    # the staircase partitions of 1..4 once each, shared by [5] and [5d]
+    assert partition_calls == [1, 2, 3, 4]
+
+
+def test_each_grid_sweeps_its_strands_once_per_run(monkeypatch):
+    real = rcgraph._trace
+    traced = []
+
+    def counted(rows):
+        traced.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(rcgraph, "_trace", counted)
+    assert all(r.passed for r in verify.run_checks("all", 8))
+    # 2,055 fillings for n = 1..8, each swept once across [5]-[8], and its
+    # transpose ([7]) and two split parts ([8]) once each
+    assert len(traced) == 4 * 2055 == 8220
 
 
 # Each mutation corrupts one output of one bijection at max_n = 4; the check
