@@ -122,7 +122,9 @@ def q_catalan_via_partitions(n: int) -> QPolynomial:
             memo[key] = hist
         return memo[key]
 
-    return QPolynomial(reversed(sizes(1, n)))
+    hist = sizes(1, n)
+    del sizes  # sizes names itself; unbinding breaks the cycle holding the memo
+    return QPolynomial(reversed(hist))
 
 
 def enumerate_staircase_partitions(n: int) -> list[Partition]:
@@ -140,4 +142,5 @@ def enumerate_staircase_partitions(n: int) -> list[Partition]:
             prefix.pop()
 
     grow([], 1, n)
+    del grow  # grow names itself; unbinding breaks the cycle holding out
     return out

@@ -11,8 +11,8 @@ or less and under 400 MB on a 2-vCPU host with Python 3.11; larger input
 exits 1 with "error: --<flag> ... exceeds the limit of N".
 
   --perm (enumerate, schubert, specialize)  size 9; worst measured case
-      1,3,2,9,8,7,6,5,4 (163,592 fillings): enumerate --format json 4.0 s,
-      51 MB
+      1,3,2,9,8,7,6,5,4 (163,592 fillings): enumerate --format json
+      3.6-5.6 s, 57 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
   catalan --n with --q  60 by the recurrence (7.2 s), 80 with --via

@@ -323,10 +323,10 @@ def schubert_specialization(w: Permutation) -> QPolynomial:
     ``schubert_polynomial(w).principal_specialization()``.
     """
 
-    def combine(r: int, parts: list[tuple[int, list[int]]]) -> list[int]:
+    def combine(r: int, parts: list[tuple[tuple[bool, ...], list[int]]]) -> list[int]:
         out: list[int] = []
-        for c, coeffs in parts:
-            shift = (r - 1) * c
+        for cells, coeffs in parts:
+            shift = (r - 1) * sum(cells)
             out.extend([0] * (shift + len(coeffs) - len(out)))
             for k, x in enumerate(coeffs, shift):
                 out[k] += x

@@ -10,7 +10,7 @@ the permutation w exactly when that column is w(i) for every i and no two
 strands cross twice.  Along the front of a bottom-up sweep, strands change
 order only where they cross, so a pair meeting again is out of order there:
 ``_trace`` raises when the traveler is larger than the strand it crosses,
-and ``enumerate_rcgraphs`` places a cross only when w(traveler) > w(b).
+and ``_row_graph`` places a cross only when w(traveler) > w(b).
 
 Coordinates are (row, column), 1-based, with (1, 3) meaning top row, third
 column.
@@ -294,6 +294,12 @@ def _row_graph(w: Permutation) -> dict[tuple[int, ...], list]:
     reached is a key, and every path down from a key ends at the empty
     state, so a walk from any key meets no dead end.
 
+    Each state's edges are sorted True first, so a walk that takes the rows
+    top down and the edges in order meets the fillings in canonical order,
+    ``RcGraph.sort_key``, the row-major list of crosses.  Every filling of
+    w has l(w) crosses, so two of them first differ at a cell where exactly
+    one has a cross, and that one sorts first.
+
     A cross is placed only on a pair that has not crossed yet and whose
     targets are inverted in w.  No set of crossed pairs is kept: along the
     front of the sweep the strands change order only by the adjacent swap
@@ -335,52 +341,23 @@ def _row_graph(w: Permutation) -> dict[tuple[int, ...], list]:
     for below in reached:  # grows as fill reaches new states
         if len(below) < m:
             fill(below, 1, m - len(below), (), ())
+    del fill  # fill names itself; unbinding breaks the cycle holding the graph
+    for moves in edges.values():
+        moves.sort(reverse=True)
     return edges
 
 
-def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
-    """All pipe dreams for w, without duplicates, in canonical order.
-
-    The walk takes the edges of ``_row_graph`` down from the state above
-    row 1 that traces w, which is the inverse word of w, and lists one
-    filling per path to the empty state.
-
-    Canonical order is ``RcGraph.sort_key``, the row-major list of crosses.
-    Every filling of w has l(w) crosses, so two of them first differ at a
-    cell where exactly one has a cross, and that one sorts first.  The walk
-    takes the rows top down and each state's edges sorted True first.
-    """
-    m = w.size
-    edges = _row_graph(w)
-    for moves in edges.values():
-        moves.sort(reverse=True)
-
-    rows: list[tuple[bool, ...]] = [()] * m
-    found: list[RcGraph] = []
-
-    def descend(top: tuple[int, ...]) -> None:
-        if not top:
-            found.append(RcGraph(tuple(rows)))
-            return
-        for cells, below in edges[top]:
-            rows[m - len(top)] = cells
-            descend(below)
-
-    descend(w.inverse().word)
-    return found
-
-
 def fold_rcgraphs(w: Permutation, leaf: T,
-                  combine: Callable[[int, list[tuple[int, T]]], T]) -> T:
-    """Fold a weight over the pipe dreams for w without listing them.
+                  combine: Callable[[int, list[tuple[tuple[bool, ...], T]]], T]) -> T:
+    """Fold a weight over the pipe dreams for w.
 
     One memoised walk down ``_row_graph`` from the state w^-1.  The empty
     state below the last row weighs ``leaf``; a state leaving the top of
-    row r weighs combine(r, parts), where parts holds (c, weight of the
-    state below) for each edge, c being the row's cross count.  A weight is
-    computed once per state, so the work is one part per edge, however
-    many fillings pass through it.  ``combine`` must not mutate the weights
-    it is given, which other states share.
+    row r weighs combine(r, parts), where parts holds (cells, weight of the
+    state below) for each edge in the graph's order, cells being the row's
+    filling.  A weight is computed once per state, so the work is one part
+    per edge, however many fillings pass through it.  ``combine`` must not
+    mutate the weights it is given, which other states share.
     """
     m = w.size
     edges = _row_graph(w)
@@ -389,11 +366,26 @@ def fold_rcgraphs(w: Permutation, leaf: T,
     def weight(top: tuple[int, ...]) -> T:
         if top not in memo:
             memo[top] = combine(m + 1 - len(top), [
-                (sum(cells), weight(below)) for cells, below in edges[top]
+                (cells, weight(below)) for cells, below in edges[top]
             ])
         return memo[top]
 
-    return weight(w.inverse().word)
+    total = weight(w.inverse().word)
+    del weight  # weight names itself; unbinding breaks the cycle holding the memo
+    return total
+
+
+def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
+    """All pipe dreams for w, without duplicates, in canonical order.
+
+    ``fold_rcgraphs`` weighs each state by the list of row tuples below it:
+    the empty state by one empty tuple, and each edge prepends its cells to
+    every tuple of the state below.  The graph's edge order makes the list
+    canonical.
+    """
+    return [RcGraph(rows) for rows in fold_rcgraphs(w, [()], lambda r, parts: [
+        (cells,) + rows for cells, below in parts for rows in below
+    ])]
 
 
 def count_rcgraphs(w: Permutation) -> int:

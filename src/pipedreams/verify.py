@@ -9,31 +9,6 @@ checks that walk the zigzag families take them from ``family``, and [5]
 and [5d] take the staircase partitions from ``partitions``; ``run_checks``
 memoises both, so each family and each partition list is built once per
 run.
-
-Per filling, each check pays its bijection work once.  The zigzag guards
-compare a grid's exit word with a cached word and build no permutation,
-and a grid sweeps its strands once, on the first guard, and keeps the
-word: a filling is swept once across [5]-[8], and its transpose and split
-parts, which are other grids, once each.  The kernels read a grid by rows,
-not cells: ``split`` finds its turn row and checks its forced crosses by
-row slices, ``bracketing_of`` finds each row's elbows by ``index``,
-``eg_word`` takes each row's letters by one ``compress``, ``transpose``
-takes each column from one ``zip_longest`` tuple, and ``rcgraph_of``
-reads its closes from one padded tuple of parts.  [5] takes the round
-trip from a partition through its filling as already done when
-``rcgraph_of`` returned that filling, and ``partition_of`` reads the parts
-as suffix sums of per-row elbow counts, with no conjugate.  [6]
-inserts each word once and reads both the evacuation and the EG partition
-from that recording tableau; the tableaux are transposed in one
-``zip_longest`` pass and their strictness and label checks run per row or
-column in C (``map``, ``min``, ``count``, set inclusion), not per entry in
-Python.
-[7] compares bracketings by ``==``, which agrees with comparing their
-strings, and a bracketing is validated by one scan over its pairs, put in
-scan order by C-level sorts with no Python key, so [7] builds no tree.
-The checks that only count or sum build no objects: [2] and [9] fold over
-the row graph of each permutation (``fold_rcgraphs``), and [10] sums
-partition sizes by a transfer over parts.
 """
 
 from __future__ import annotations
