@@ -9,7 +9,6 @@ of a guarded class of Schubert varieties at the identity point.
 """
 
 from .bijections import (
-    BinaryTree,
     Bracketing,
     DyckPath,
     MalformedBracketingError,
@@ -17,7 +16,6 @@ from .bijections import (
     PartitionBoundsError,
     bracketing_of,
     dyck_to_partition,
-    flip,
     partition_of,
     partition_to_dyck,
     rcgraph_of,

@@ -7,15 +7,16 @@ which parses the string 1 .. n+1 as a full binary product; the partition
 fixes how many pairs close after each letter, which is all the inverse needs
 to rebuild the bracketing, and with it the filling, in one pass with a stack
 of open factors.  Reflecting the filling across its diagonal reverses the
-bracketing, equivalently flips the parse tree.  Partitions convert to Dyck
-paths so the area statistic can travel along.
+bracketing: the string read backwards, with the letters renumbered in
+order.  The pairs also give the bracketing's parse tree, as nested lists,
+and its printed string directly.  Partitions convert to Dyck paths so the
+area statistic can travel along.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate, count
+from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 
 from .catalan import Partition, fits_staircase
@@ -215,50 +216,25 @@ class Bracketing:
             enclosing.append((o, c))
 
     def __str__(self) -> str:
-        def render(t: BinaryTree) -> str:
-            if t.is_leaf():
-                return str(t.label)
-            gap = " " if t.left.is_leaf() and t.right.is_leaf() else ""
-            return f"({render(t.left)}{gap}{render(t.right)})"
+        """Brackets around every factor of two or more letters, and a space
+        only inside a factor of exactly two letters, e.g. ``(1((2 3)4))``.
 
-        return render(tree_of(self))
-
-
-@dataclass(frozen=True)
-class BinaryTree:
-    """A full binary tree whose leaves carry the letters 1 .. n+1 in order."""
-
-    label: int | None = None
-    left: BinaryTree | None = field(default=None)
-    right: BinaryTree | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        is_leaf = self.label is not None
-        has_children = self.left is not None and self.right is not None
-        if is_leaf == has_children or (self.left is None) != (self.right is None):
-            raise ValueError("a node is either a labelled leaf or has two children")
-
-    @classmethod
-    def leaf(cls, label: int) -> BinaryTree:
-        return cls(label=label)
-
-    @classmethod
-    def node(cls, left: BinaryTree, right: BinaryTree) -> BinaryTree:
-        return cls(left=left, right=right)
-
-    def is_leaf(self) -> bool:
-        return self.label is not None
-
-    def leaves(self) -> list[int]:
-        if self.is_leaf():
-            return [self.label]
-        return self.left.leaves() + self.right.leaves()
-
-    def to_nested(self):
-        """Nested-list form, e.g. [1, [2, [3, 4]]]."""
-        if self.is_leaf():
-            return self.label
-        return [self.left.to_nested(), self.right.to_nested()]
+        One scan of the letters: each prints its pairs' left brackets, then
+        itself, then its pairs' right brackets.  The space after x falls
+        exactly when (x, x+1) is a pair, since no other pair can open at
+        x+1 or close at x without overlapping it.
+        """
+        size = self.letters + 1
+        opens, closes, gaps = [0] * size, [0] * size, [""] * size
+        for o, c in self.pairs:
+            opens[o] += 1
+            closes[c] += 1
+            if c == o + 1:
+                gaps[o] = " "
+        return "".join(
+            "(" * opens[x] + str(x) + ")" * closes[x] + gaps[x]
+            for x in range(1, size)
+        )
 
 
 def bracketing_of(d: RcGraph) -> Bracketing:
@@ -284,52 +260,23 @@ def reverse_bracketing(b: Bracketing) -> Bracketing:
     return Bracketing(L, tuple((L + 1 - c, L + 1 - o) for o, c in b.pairs))
 
 
-def tree_of(b: Bracketing) -> BinaryTree:
-    """The parse tree of a bracketing; leaves are the letters in order.
+def tree_of(b: Bracketing) -> int | list:
+    """The parse tree of a bracketing as nested lists, e.g. [1, [2, [3, 4]]]
+    for (1(2(3 4))); the leaves are the letters in order.
 
-    A factor o..c of one letter is a leaf; a longer one must itself be a
-    pair.  Its left child is o..e for the largest e < c with (o, e) a pair,
-    or the letter o if there is none, and its right child is e+1..c.  Each
-    node takes a different pair and a full binary tree on L letters has
-    L - 1 nodes, so once the tree is built all L - 1 pairs are used, each
-    exactly once.  The closes of each open are indexed once, in ascending
-    order, so e is found by bisection.
+    Read the bracketing as postfix: each letter is pushed as a leaf, and
+    each pair closing after it merges the top two items, which are its two
+    factors, into one node.  The pairs closing after one letter are nested,
+    so they complete innermost first, one merge each.  A valid bracketing
+    leaves exactly the whole tree on the stack.
     """
-    closes: dict[int, list[int]] = {}
-    for o, c in b.pairs:  # sorted, so each list of closes is too
-        closes.setdefault(o, []).append(c)
-
-    def factor(o: int, c: int) -> BinaryTree:
-        if o == c:
-            return BinaryTree.leaf(o)
-        ends = closes.get(o, ())
-        k = bisect_left(ends, c)
-        if k == len(ends) or ends[k] != c:
-            raise MalformedBracketingError(
-                f"factor {o}..{c} is not enclosed by a bracket pair"
-            )
-        e = ends[k - 1] if k else o
-        return BinaryTree.node(factor(o, e), factor(e + 1, c))
-
-    return factor(1, b.letters)
-
-
-def flip(t: BinaryTree) -> BinaryTree:
-    """Mirror the tree left-to-right, then relabel leaves 1 .. n+1 in order.
-
-    Involution; on bracketings it corresponds to reverse_bracketing.
-    """
-
-    def mirror(u: BinaryTree) -> BinaryTree:
-        if u.is_leaf():
-            return u
-        return BinaryTree.node(mirror(u.right), mirror(u.left))
-
-    labels = count(1)
-
-    def relabel(u: BinaryTree) -> BinaryTree:
-        if u.is_leaf():
-            return BinaryTree.leaf(next(labels))
-        return BinaryTree.node(relabel(u.left), relabel(u.right))
-
-    return relabel(mirror(t))
+    closes = [0] * (b.letters + 1)
+    for _, c in b.pairs:
+        closes[c] += 1
+    stack: list = []
+    for x in range(1, b.letters + 1):
+        stack.append(x)
+        for _ in range(closes[x]):
+            right = stack.pop()
+            stack[-1] = [stack[-1], right]
+    return stack[0]

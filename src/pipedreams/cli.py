@@ -15,8 +15,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       3.6-5.6 s, 57 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
-  catalan --n with --q  60 by the recurrence (7.2 s), 80 with --via
-      partitions (7.4 s and 182 MB; 90 takes 10.6 s and 288 MB)
+  catalan --n with --q  80, 7.4-10.1 s and 182 MB (90 takes 10.6 s and
+      288 MB)
   biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target
@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from .bijections import bracketing_of, partition_of, partition_to_dyck, tree_of
-from .catalan import catalan, q_catalan, q_catalan_via_partitions
+from .catalan import catalan, q_catalan_via_partitions
 from .eg import _recording_partition, eg_insert, eg_word
 from .multiplicity import schubert_multiplicity_at_identity
 from .perm import NotAPermutationError, Permutation, dominant_singular, zigzag
@@ -54,8 +54,7 @@ from .verify import SUITES, run_checks
 
 MAX_PERM_SIZE = 9
 MAX_CATALAN_N = 5000
-MAX_Q_CATALAN_N = 60
-MAX_Q_CATALAN_PARTITIONS_N = 80
+MAX_Q_CATALAN_N = 80
 MAX_BIJECT_N = 10
 MAX_BIJECT_RC_N = 450
 MAX_MULTIPLICITY_N = 17
@@ -111,12 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalan", help="Catalan numbers and q-Catalan polynomials")
     p.add_argument("--n", type=int, required=True,
-                   help=f"at most {MAX_CATALAN_N}; with --q at most "
-                        f"{MAX_Q_CATALAN_N}, or {MAX_Q_CATALAN_PARTITIONS_N} "
-                        "with --via partitions")
+                   help=f"at most {MAX_CATALAN_N}; with --q at most {MAX_Q_CATALAN_N}")
     p.add_argument("--q", action="store_true", help="print the q-polynomial")
-    p.add_argument("--via", choices=("partitions", "recurrence"),
-                   help="computation route for the q-polynomial")
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("biject", help="apply a Catalan bijection to the zigzag family")
@@ -184,14 +179,9 @@ def _cmd_specialize(args) -> int:
 def _cmd_catalan(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    if args.via and not args.q:
-        raise ValueError("--via requires --q")
-    if args.via == "partitions":
-        _check_limit("--via partitions --n", args.n, MAX_Q_CATALAN_PARTITIONS_N)
-        print(q_catalan_via_partitions(args.n))
-    elif args.q:
+    if args.q:
         _check_limit("--q --n", args.n, MAX_Q_CATALAN_N)
-        print(q_catalan(args.n))
+        print(q_catalan_via_partitions(args.n))
     else:
         _check_limit("--n", args.n, MAX_CATALAN_N)
         print(catalan(args.n))
@@ -207,7 +197,7 @@ def _item(d: RcGraph, n: int, to: str) -> dict:
     elif to == "tree":
         b = bracketing_of(d)
         entry["bracketing"] = str(b)
-        entry["tree"] = tree_of(b).to_nested()
+        entry["tree"] = tree_of(b)
     else:
         p, q = eg_insert(eg_word(d))
         entry["p"] = p.to_json()

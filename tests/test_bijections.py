@@ -1,10 +1,9 @@
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, count, permutations
 from math import comb
 
 import pytest
 
 from pipedreams.bijections import (
-    BinaryTree,
     Bracketing,
     DyckPath,
     MalformedBracketingError,
@@ -12,7 +11,6 @@ from pipedreams.bijections import (
     PartitionBoundsError,
     bracketing_of,
     dyck_to_partition,
-    flip,
     partition_of,
     partition_to_dyck,
     rcgraph_of,
@@ -378,34 +376,60 @@ class TestAgainstCellKernelOracle:
                     assert pairs_of(bracketing_of, d) == outcome(ref_bracketing_of, d)
 
 
+def mirror_relabel(t):
+    """Mirror a nested-list tree left to right, then number its leaves
+    1, 2, ... in order (oracle for reversing a bracketing, independent of
+    the library): the mirror visits each right child first."""
+    labels = count(1)
+
+    def mirror(u):
+        if isinstance(u, int):
+            return next(labels)
+        left, right = u
+        return [mirror(right), mirror(left)]
+
+    return mirror(t)
+
+
+def leaves(t):
+    if isinstance(t, int):
+        return [t]
+    return leaves(t[0]) + leaves(t[1])
+
+
 class TestTrees:
     def test_parse_and_nested_form(self):
-        t = tree_of(bracketing_of(bottom_rcgraph(3)))
-        assert t.to_nested() == [1, [2, [3, 4]]]
-        leaf, node = BinaryTree.leaf, BinaryTree.node
-        assert node(leaf(1), node(leaf(2), node(leaf(3), leaf(4)))) == t
+        assert tree_of(bracketing_of(bottom_rcgraph(3))) == [1, [2, [3, 4]]]
+        assert tree_of(Bracketing(1, ())) == 1
 
     def test_flip_three_leaves(self):
         right = tree_of(Bracketing(3, ((1, 3), (2, 3))))  # (1(2 3))
         left = tree_of(Bracketing(3, ((1, 2), (1, 3))))  # ((1 2)3)
-        assert flip(right) == left
+        assert (right, left) == ([1, [2, 3]], [[1, 2], 3])
+        assert mirror_relabel(right) == left
 
     def test_flip_involution(self):
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
                 t = tree_of(bracketing_of(d))
-                assert flip(flip(t)) == t
+                assert mirror_relabel(mirror_relabel(t)) == t
 
     def test_flip_matches_reversal(self):
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
                 b = bracketing_of(d)
-                assert flip(tree_of(b)) == tree_of(reverse_bracketing(b))
+                assert tree_of(reverse_bracketing(b)) == mirror_relabel(tree_of(b))
 
     def test_leaves_in_order(self):
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
-                assert tree_of(bracketing_of(d)).leaves() == list(range(1, n + 2))
+                assert leaves(tree_of(bracketing_of(d))) == list(range(1, n + 2))
+
+    def test_str_renders_the_tree(self):
+        for n in range(0, 10):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                b = bracketing_of(d)
+                assert str(b) == render_nested(tree_of(b)), d
 
 
 def full_binary_trees(lo, hi):
@@ -456,7 +480,7 @@ def test_bracketing_accepts_exactly_tree_interval_sets(letters):
             continue
         b = Bracketing(letters, pairs)
         accepted += 1
-        assert tree_of(b).to_nested() == expected
+        assert tree_of(b) == expected
         assert str(b) == render_nested(expected)
     assert accepted == len(trees)
 

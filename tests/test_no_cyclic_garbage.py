@@ -11,11 +11,12 @@ import gc
 
 import pytest
 
+from pipedreams.bijections import bracketing_of, tree_of
 from pipedreams.catalan import enumerate_staircase_partitions, q_catalan_via_partitions
 from pipedreams.multiplicity import schubert_multiplicity_at_identity
 from pipedreams.perm import dominant_singular, make_perm, zigzag
 from pipedreams.poly import schubert_polynomial, schubert_specialization
-from pipedreams.rcgraph import count_rcgraphs, enumerate_rcgraphs
+from pipedreams.rcgraph import bottom_rcgraph, count_rcgraphs, enumerate_rcgraphs
 
 CASES = {
     "enumerate_rcgraphs": lambda: enumerate_rcgraphs(zigzag(6)),
@@ -26,6 +27,8 @@ CASES = {
         lambda: schubert_multiplicity_at_identity(dominant_singular(6)),
     "q_catalan_via_partitions": lambda: q_catalan_via_partitions(12),
     "enumerate_staircase_partitions": lambda: enumerate_staircase_partitions(6),
+    "tree_of": lambda: tree_of(bracketing_of(bottom_rcgraph(6))),
+    "Bracketing.__str__": lambda: str(bracketing_of(bottom_rcgraph(6))),
 }
 
 
