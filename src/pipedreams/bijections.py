@@ -131,6 +131,8 @@ def partition_to_dyck(p: Partition, n: int) -> DyckPath:
         raise PartitionBoundsError(
             f"{p} does not fit inside the staircase of {n}"
         )
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     steps: list[str] = []
     h = 0
     for k in range(1, n + 1):

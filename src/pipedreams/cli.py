@@ -12,7 +12,7 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
 
   --perm (enumerate, schubert, specialize)  size 9; worst measured case
       1,3,2,9,8,7,6,5,4 (163,592 fillings): enumerate --format json
-      3.6-5.6 s, 57 MB
+      4.8-5.5 s, 55 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
   catalan --n with --q  80, 7.4-10.1 s and 182 MB (90 takes 10.6 s and
@@ -20,7 +20,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
   biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target
-  multiplicity --n  17, 5.6 s and 230 MB (18 takes 14 s and 471 MB)
+  multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
+      in process)
   verify --max-n  10, 3.7 s on a quiet host and up to 7.8 s on a slow
       one, 47 MB (9 takes 1.0 s and 24 MB)
 """

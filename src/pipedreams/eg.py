@@ -142,7 +142,7 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
         else:
             p_rows.append([x])
             q_rows.append([a])
-    _check_rows_strict(p_rows, "insertion tableau")
+    # P rows stay strict: x goes past smaller entries; an equal one bumps x+1 or raises
     p = _transposed(p_rows)
     for column in p:
         if not _strict(column):

@@ -10,7 +10,7 @@ the permutation w exactly when that column is w(i) for every i and no two
 strands cross twice.  Along the front of a bottom-up sweep, strands change
 order only where they cross, so a pair meeting again is out of order there:
 ``_trace`` raises when the traveler is larger than the strand it crosses,
-and ``_row_graph`` places a cross only when w(traveler) > w(b).
+and ``fold_rcgraphs`` places a cross only when w(traveler) > w(b).
 
 Coordinates are (row, column), 1-based, with (1, 3) meaning top row, third
 column.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, TypeVar
 
 from .perm import Permutation, zigzag
@@ -283,22 +284,26 @@ def bottom_rcgraph(n: int) -> RcGraph:
                    + tuple((True,) * (n - k) + (False,) for k in range(1, n + 1)))
 
 
-def _row_graph(w: Permutation) -> dict[tuple[int, ...], list]:
-    """The graph of row states for w, one edge per admissible row filling.
+def fold_rcgraphs(w: Permutation, leaf: T,
+                  combine: Callable[[int, list[tuple[tuple[bool, ...], T]]], T]) -> T:
+    """Fold a weight over the pipe dreams for w, in one pass up the rows.
 
     A state is the tuple of strands crossing a row boundary, column by
-    column; its length gives the row.  The pass goes up from the empty state
-    below row m: each reached state entering row r is expanded once, and
-    every admissible filling of the row is recorded as an edge (the row's
-    cells, the state below) of the state leaving its top.  Every state
-    reached is a key, and every path down from a key ends at the empty
-    state, so a walk from any key meets no dead end.
+    column; the empty state below row m weighs ``leaf``.  For each state
+    below row r, the pass extends the row's partial fillings one column at
+    a time, groups the finished ones by the state leaving the top, and
+    weighs each such state once as combine(r, parts), where parts holds
+    (cells, weight of the state below) for each filling of the row that
+    leads to it, cells being the row's filling.  Only the weights of the
+    boundary below are kept, and each state is weighed once, however many
+    fillings pass through it.  ``combine`` must not mutate the weights it
+    is given, which other states share.
 
-    Each state's edges are sorted True first, so a walk that takes the rows
-    top down and the edges in order meets the fillings in canonical order,
-    ``RcGraph.sort_key``, the row-major list of crosses.  Every filling of
+    Parts are sorted True first, so the fillings come in canonical order,
+    ``RcGraph.sort_key``, the row-major list of crosses: every filling of
     w has l(w) crosses, so two of them first differ at a cell where exactly
-    one has a cross, and that one sorts first.
+    one has a cross, and that one sorts first.  A state and a row's cells
+    determine the state below, so no two parts of a state tie.
 
     A cross is placed only on a pair that has not crossed yet and whose
     targets are inverted in w.  No set of crossed pairs is kept: along the
@@ -311,77 +316,44 @@ def _row_graph(w: Permutation) -> dict[tuple[int, ...], list]:
     crosses twice.  A strand is also dropped where it would exit a row east
     of its target column, at an elbow or the anti-diagonal, since strands
     move weakly east; b, crossed over, exits where it entered and was
-    tested already.  These rules only prune states: the walk from the top
-    state of w, its inverse word, alone decides which fillings count.
+    tested already.  So every strand leaving row 1 sits weakly west of its
+    target, and m distinct columns with c(s) <= w(s) force c = w: the only
+    state above row 1 is w^-1.
     """
     m = w.size
     wv = (0,) + w.word
-    edges: dict[tuple[int, ...], list] = {}
-    reached: list[tuple[int, ...]] = [()]
-
-    def fill(below: tuple[int, ...], j: int, traveler: int,
-             top: tuple[int, ...], cells: tuple[bool, ...]) -> None:
-        if j > len(below):
-            # forced anti-diagonal elbow: the traveler exits here
-            if wv[traveler] >= j:
-                top += (traveler,)
-                if top not in edges:
-                    edges[top] = []
-                    reached.append(top)
-                edges[top].append((cells + (False,), below))
-            return
-        b = below[j - 1]
-        # elbow: the traveler exits north at column j, b takes over east
-        if wv[traveler] >= j:
-            fill(below, j + 1, b, top + (traveler,), cells + (False,))
-        # cross: b exits north at column j, the traveler passes over it
-        if wv[traveler] > wv[b]:
-            fill(below, j + 1, traveler, top + (b,), cells + (True,))
-
-    for below in reached:  # grows as fill reaches new states
-        if len(below) < m:
-            fill(below, 1, m - len(below), (), ())
-    del fill  # fill names itself; unbinding breaks the cycle holding the graph
-    for moves in edges.values():
-        moves.sort(reverse=True)
-    return edges
-
-
-def fold_rcgraphs(w: Permutation, leaf: T,
-                  combine: Callable[[int, list[tuple[tuple[bool, ...], T]]], T]) -> T:
-    """Fold a weight over the pipe dreams for w.
-
-    One memoised walk down ``_row_graph`` from the state w^-1.  The empty
-    state below the last row weighs ``leaf``; a state leaving the top of
-    row r weighs combine(r, parts), where parts holds (cells, weight of the
-    state below) for each edge in the graph's order, cells being the row's
-    filling.  A weight is computed once per state, so the work is one part
-    per edge, however many fillings pass through it.  ``combine`` must not
-    mutate the weights it is given, which other states share.
-    """
-    m = w.size
-    edges = _row_graph(w)
-    memo: dict[tuple[int, ...], T] = {(): leaf}
-
-    def weight(top: tuple[int, ...]) -> T:
-        if top not in memo:
-            memo[top] = combine(m + 1 - len(top), [
-                (cells, weight(below)) for cells, below in edges[top]
-            ])
-        return memo[top]
-
-    total = weight(w.inverse().word)
-    del weight  # weight names itself; unbinding breaks the cycle holding the memo
-    return total
+    weights: dict[tuple[int, ...], T] = {(): leaf}
+    for r in range(m, 0, -1):
+        parts: dict[tuple[int, ...], list[tuple[tuple[bool, ...], T]]] = {}
+        for below, weight in weights.items():
+            fillings = [(r, (), ())]  # (traveler, top so far, cells so far)
+            for j, b in enumerate(below, start=1):
+                grown = []
+                for traveler, top, cells in fillings:
+                    # elbow: the traveler exits north at column j, b takes over east
+                    if wv[traveler] >= j:
+                        grown.append((b, top + (traveler,), cells + (False,)))
+                    # cross: b exits north at column j, the traveler passes over it
+                    if wv[traveler] > wv[b]:
+                        grown.append((traveler, top + (b,), cells + (True,)))
+                fillings = grown
+            # forced anti-diagonal elbow: the traveler exits at column m + 1 - r
+            for traveler, top, cells in fillings:
+                if wv[traveler] >= m + 1 - r:
+                    parts.setdefault(top + (traveler,), []).append(
+                        (cells + (False,), weight))
+        weights = {top: combine(r, sorted(p, key=itemgetter(0), reverse=True))
+                   for top, p in parts.items()}
+    return weights[w.inverse().word]
 
 
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     """All pipe dreams for w, without duplicates, in canonical order.
 
     ``fold_rcgraphs`` weighs each state by the list of row tuples below it:
-    the empty state by one empty tuple, and each edge prepends its cells to
-    every tuple of the state below.  The graph's edge order makes the list
-    canonical.
+    the empty state by one empty tuple, and each row filling prepends its
+    cells to every tuple of the state below.  The fold's part order makes
+    the list canonical.
     """
     return [RcGraph(rows) for rows in fold_rcgraphs(w, [()], lambda r, parts: [
         (cells,) + rows for cells, below in parts for rows in below
@@ -390,7 +362,7 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
 
 def count_rcgraphs(w: Permutation) -> int:
     """The number of pipe dreams for w, len(enumerate_rcgraphs(w)), by
-    ``fold_rcgraphs``: each state counts the paths below it."""
+    ``fold_rcgraphs``: each state counts the fillings of the rows below it."""
     return fold_rcgraphs(w, 1, lambda r, parts: sum(x for _, x in parts))
 
 

@@ -189,6 +189,8 @@ class TestDyck:
     def test_out_of_bounds(self):
         with pytest.raises(PartitionBoundsError):
             partition_to_dyck(Partition((2,)), 2)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            partition_to_dyck(Partition(), -1)
 
     def test_malformed_paths(self):
         with pytest.raises(MalformedPathError):

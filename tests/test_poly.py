@@ -290,7 +290,7 @@ class TestSpecialization:
 
 
 class TestRowTransferFolds:
-    """The folds over the row graph against the listing they replace."""
+    """The row-transfer folds against the listing they replace."""
 
     @staticmethod
     def assert_fold_matches_listing(w):

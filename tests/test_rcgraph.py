@@ -16,6 +16,7 @@ from pipedreams.rcgraph import (
     bottom_rcgraph,
     chute_closure,
     enumerate_rcgraphs,
+    fold_rcgraphs,
     inverse_chute_move,
     _trace,
     _zigzag_word,
@@ -261,6 +262,29 @@ class TestEnumerateOracles:
         for n in range(0, 8):
             w = zigzag(n)
             assert schubert_polynomial(w) == schubert_via_divided_differences(w), n
+
+
+class TestFoldWork:
+    """The fold's work as counts: one ``combine`` call per state and one
+    part per row filling between two states.  The listings stay the same
+    without the rules that drop a strand exiting east of its target, at an
+    elbow or at the anti-diagonal; only these counts see them."""
+
+    @pytest.mark.parametrize("w, states, edges", [
+        (zigzag(7), 128, 320),
+        (zigzag(9), 512, 1_536),
+        (zigzag(12), 4_096, 15_360),
+        (make_perm([1, 3, 2, 9, 8, 7, 6, 5, 4]), 740, 4_425),
+    ], ids=["zigzag7", "zigzag9", "zigzag12", "132987654"])
+    def test_states_and_edges(self, w, states, edges):
+        work = {"states": 0, "edges": 0}
+
+        def combine(r, parts):
+            work["states"] += 1
+            work["edges"] += len(parts)
+
+        fold_rcgraphs(w, None, combine)
+        assert work == {"states": states, "edges": edges}
 
 
 class TestChuteMoves:
