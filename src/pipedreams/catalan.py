@@ -97,50 +97,45 @@ def q_catalan_via_partitions(n: int) -> QPolynomial:
     """The same polynomial as sum over staircase partitions p of
     q^(binom(n,2) - |p|); an independent route to q_catalan.
 
-    It splits by parts, not by first return: ``sizes(k, bound)`` is the
-    histogram of |tail| over the tails p_k, p_{k+1}, ... whose first part is
-    at most bound, branching as ``enumerate_staircase_partitions`` does: the
-    empty tail, or a part p <= min(bound, n - k) followed by a tail from
-    k + 1 bounded by p.  No partition is built, and the memo lives for one
-    call.  The largest size is |staircase(n)| = binom(n, 2), so the reversed
+    One bottom-up transfer over the part index k = n-1, ..., 1.  Entry b of
+    level k is the histogram of |tail| over the tails p_k, p_{k+1}, ... whose
+    first part is at most b <= n - k: entry b - 1, plus part b followed by
+    entry min(b, n - k - 1) of level k + 1, i.e. that histogram shifted by b.
+    Only level k + 1 is kept while level k is built, and no partition is
+    built.  The largest size is |staircase(n)| = binom(n, 2), so the reversed
     histogram is the coefficient list.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    memo: dict[tuple[int, int], list[int]] = {}
-
-    def sizes(k: int, bound: int) -> list[int]:
-        bound = min(bound, n - k)
-        key = (k, bound)
-        if key not in memo:
-            hist = [1]
-            for p in range(1, bound + 1):
-                tail = sizes(k + 1, p)
-                hist.extend([0] * (p + len(tail) - len(hist)))
-                for s, x in enumerate(tail, p):
-                    hist[s] += x
-            memo[key] = hist
-        return memo[key]
-
-    hist = sizes(1, n)
-    del sizes  # sizes names itself; unbinding breaks the cycle holding the memo
-    return QPolynomial(reversed(hist))
+    level = [[1]]
+    for k in range(n - 1, 0, -1):
+        below, level = level, [[1]]
+        for b in range(1, n - k + 1):
+            tail = below[min(b, n - k - 1)]
+            hist = level[-1] + [0] * (b + len(tail) - len(level[-1]))
+            for s, x in enumerate(tail, b):
+                hist[s] += x
+            level.append(hist)
+    return QPolynomial(reversed(level[-1]))
 
 
 def enumerate_staircase_partitions(n: int) -> list[Partition]:
     """All partitions fitting inside the staircase of n, in lexicographic
-    order on part sequences.  There are catalan(n) of them."""
+    order on part sequences.  There are catalan(n) of them.
+
+    The same transfer as ``q_catalan_via_partitions``, on part tuples: level
+    k lists the tails from part k in lexicographic order, and the tails whose
+    first part is at most b are its first ``ends[b]`` entries, so each level
+    is one list.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
-
-    def grow(prefix: list[int], k: int, bound: int) -> None:
-        out.append(Partition(tuple(prefix)))
-        for p in range(1, min(bound, n - k) + 1):
-            prefix.append(p)
-            grow(prefix, k + 1, p)
-            prefix.pop()
-
-    grow([], 1, n)
-    del grow  # grow names itself; unbinding breaks the cycle holding out
-    return out
+    tails, ends = [()], [1]
+    for k in range(n - 1, 0, -1):
+        level = [()]
+        level_ends = [1]
+        for b in range(1, n - k + 1):
+            level.extend((b,) + t for t in tails[: ends[min(b, n - k - 1)]])
+            level_ends.append(len(level))
+        tails, ends = level, level_ends
+    return [Partition(t) for t in tails]

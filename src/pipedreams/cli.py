@@ -15,8 +15,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       4.8-5.5 s, 55 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
-  catalan --n with --q  80, 7.4-10.1 s and 182 MB (90 takes 10.6 s and
-      288 MB)
+  catalan --n with --q  80, 0.43-0.57 s and 33 MB; kept at 80, although
+      larger n now fits the rule (120 takes 1.6 s and 81 MB in process)
   biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
       target

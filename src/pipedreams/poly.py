@@ -335,35 +335,31 @@ def schubert_specialization(w: Permutation) -> QPolynomial:
     return QPolynomial(fold_rcgraphs(w, [1], combine))
 
 
-def schubert_via_divided_differences(
-    w: Permutation, descent: str = "first"
-) -> SparsePolynomial:
+def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
     """Independent route to the Schubert polynomial.
 
     Starts from the staircase monomial x_1^(m-1) x_2^(m-2) ... (the
     polynomial of the longest element) and walks down along a reduced word
-    for w^{-1} w_0, one divided difference per letter.  The operators
-    satisfy the braid relations, so any descent-picking strategy gives the
-    same answer; ``descent`` ("first" or "last") exists so tests can confirm
-    that.
+    for w^{-1} w_0, one divided difference per letter, always at the first
+    descent.  The operators satisfy the braid relations, so any reduced word
+    gives the same answer.
 
     The chain packs x^delta once, with the field width of m - 1, the
     largest exponent any step reads or writes, runs every step on packed
     keys and unpacks once at the end.
     """
-    if descent not in ("first", "last"):
-        raise ValueError(f"unknown descent strategy {descent!r}")
     m = w.size
     width = max(m - 1, 1).bit_length()
     f = {_pack(range(m - 1, 0, -1), width): 1}
     u = list((w.inverse() * longest_element(m)).word)
-    while True:
-        positions = [i for i in range(1, m) if u[i - 1] > u[i]]
-        if not positions:
-            break
-        i = positions[0] if descent == "first" else positions[-1]
-        f = _divided_difference(f, i, width)
-        u[i - 1], u[i] = u[i], u[i - 1]
+    i = 1  # u[:i] is increasing, so the first descent is at i or later
+    while i < m:
+        if u[i - 1] > u[i]:
+            f = _divided_difference(f, i, width)
+            u[i - 1], u[i] = u[i], u[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
     return SparsePolynomial._trusted(
         {_unpack(key, width): coef for key, coef in f.items()}
     )

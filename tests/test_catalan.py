@@ -97,6 +97,20 @@ class TestQCatalan:
         assert top.at_one() == catalan(30)
         assert q_catalan(8) == expected
 
+    def test_staircase_kernels_keep_the_stack_flat(self):
+        # On Python 3.11, which counts C calls too, the transfer needs a
+        # margin of 12; a recursion over the parts needs 20 for the listing
+        # of 9 and more than 25 for the q-route of 40.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 16)
+        try:
+            top = q_catalan_via_partitions(40)
+            listed = enumerate_staircase_partitions(9)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert top.at_one() == catalan(40)
+        assert len(listed) == catalan(9)
+
     def test_value_at_one(self):
         for n in range(13):
             assert q_catalan(n).at_one() == catalan(n)

@@ -333,6 +333,14 @@ def test_biject_rc_tree_at_the_limit(capsys, tmp_path):
     )
 
 
+def test_q_catalan_at_the_limit(capsys):
+    code, out, err = run(capsys, "catalan", "--n", "80", "--q")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b473fe77840baea2aa6b62c51eb2165efe56f2b787322c81dc11bbe1fd2c27ab"
+    )
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # about 0.3 MB of output, more than a pipe buffer holds
     env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))

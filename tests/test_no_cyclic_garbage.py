@@ -1,10 +1,10 @@
 """The exact kernels free what they build by reference counting alone.
 
 A recursive closure that still names itself when its function returns is a
-reference cycle, and it keeps everything it closes over (a row graph, a memo,
-a result list) alive until the cyclic collector runs.  Each case runs one
-call with ``gc`` disabled, drops the result, and asserts that a collection
-then finds nothing.
+reference cycle, and it keeps everything it closes over (a memo, a result
+list) alive until the cyclic collector runs.  No kernel has one; these
+cases keep it that way.  Each case runs one call with ``gc`` disabled, drops
+the result, and asserts that a collection then finds nothing.
 """
 
 import gc
