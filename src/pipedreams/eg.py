@@ -12,8 +12,9 @@ the recording tableau.
 The right-to-left scan inside each row is what keeps the insertion tableau
 strictly increasing along rows and columns; reading_direction_report
 documents this by trying both scans on a whole family.  For the zigzag
-family the insertion tableau is the same staircase tableau for every
-filling, which is what lets ``evacuate`` rebuild the word from the
+family of n every filling inserts to one staircase tableau, with entry
+r + c + 3 at (r, c), 0-based, so it is its own transpose (Edelman-Greene,
+1987); this closed form is what lets ``evacuate`` rebuild the word from the
 recording tableau alone.
 """
 
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, repeat, zip_longest
 from operator import lt
 
 from .catalan import Partition
 from .perm import zigzag
-from .rcgraph import RcGraph, bottom_rcgraph, enumerate_rcgraphs, zigzag_index
+from .rcgraph import RcGraph, enumerate_rcgraphs, zigzag_index
 
 RIGHT_TO_LEFT = "right-to-left"
 LEFT_TO_RIGHT = "left-to-right"
@@ -109,12 +109,6 @@ def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
     return tuple(pairs)
 
 
-def _check_rows_strict(rows: list[list[int]], what: str) -> None:
-    for r in rows:
-        if not _strict(r):
-            raise InsertionError(f"{what} has a non-strict row {r}")
-
-
 def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     """Insert a two-row word; returns the insertion and recording tableaux,
     both transposed so columns are the strict direction of the recording."""
@@ -142,59 +136,49 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
         else:
             p_rows.append([x])
             q_rows.append([a])
-    # P rows stay strict: x goes past smaller entries; an equal one bumps x+1 or raises
-    p = _transposed(p_rows)
-    for column in p:
-        if not _strict(column):
-            raise InsertionError(
-                f"insertion tableau has a non-strict column {list(column)}"
-            )
-    _check_rows_strict(q_rows, "recording tableau")
-    return Tableau(p), Tableau(_transposed(q_rows))
-
-
-@lru_cache(maxsize=None)
-def _family_insertion_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The insertion tableau shared by every zigzag filling, in the
-    row-strict (untransposed) orientation."""
-    p, _ = eg_insert(eg_word(bottom_rcgraph(n)))
-    return p.transpose().rows
+    # P stays strict.  Rows: x passes smaller entries; an equal one bumps x+1
+    # or raises.  Columns: row r sends down v, the y bumped from column idx or
+    # x+1 with x at idx.  As row_{r+1}[idx] > row_r[idx] >= v - 1, v replaces
+    # a larger entry or ends row r+1 at c' <= idx, under row_r[c'] <= x < v.
+    # Q rows are checked: labels from outside can break them.
+    for row in q_rows:
+        if not _strict(row):
+            raise InsertionError(f"recording tableau has a non-strict row {row}")
+    return Tableau(_transposed(p_rows)), Tableau(_transposed(q_rows))
 
 
 def evacuate(q: Tableau, n: int) -> BiWord:
     """Rebuild the word whose insertion has recording tableau q.
 
     Works on the row-strict orientation (the transpose of the customary
-    form that ``eg_insert`` returns).  Repeatedly take the outer box with
-    the biggest label, preferring the southernmost when tied, and rewind
-    one insertion against the family's fixed insertion tableau; the box
-    labels come back as the a letters and the values popped out of the top
-    row as the alpha letters.
+    form that ``eg_insert`` returns).  Take the boxes by biggest label,
+    southernmost first on ties, and rewind one insertion per box against
+    the closed-form staircase tableau that every zigzag filling of n
+    inserts to; the box labels come back as the a letters and the values
+    popped out of the top row as the alpha letters.
     """
-    p_ref = [list(r) for r in _family_insertion_rows(n)]
-    qq = [list(r) for r in _transposed(q.rows)]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p_ref = [list(range(r + 3, n + 2)) for r in range(n - 1)]
+    qq = _transposed(q.rows)
     if [len(r) for r in qq] != [len(r) for r in p_ref]:
         raise InvalidQTableauError(
             f"shape {tuple(len(r) for r in qq)} is not the staircase of {n}"
         )
     for r in qq:
         if not _strict(r):
-            raise InvalidQTableauError(f"labels are not strict along row {r}")
+            raise InvalidQTableauError(f"labels are not strict along row {list(r)}")
+    # rows are strict, so the biggest label left always ends its row; p_ref
+    # loses a box wherever q does, so its row lengths track what is left
+    boxes = sorted(((a, r) for r, row in enumerate(qq) for a in row), reverse=True)
     pairs: list[tuple[int, int]] = []
-    for _ in range(sum(len(r) for r in qq)):
-        best_row = -1
-        best_label = 0
-        for r, row in enumerate(qq):
-            if row and row[-1] >= best_label:
-                best_label = row[-1]
-                best_row = r
-        if best_row + 1 < len(qq) and len(qq[best_row + 1]) == len(qq[best_row]):
+    for a, box_row in boxes:
+        if box_row + 1 < len(p_ref) and len(p_ref[box_row + 1]) == len(p_ref[box_row]):
             raise InvalidQTableauError(
-                f"the box holding {best_label} in row {best_row + 1} is not removable"
+                f"the box holding {a} in row {box_row + 1} is not removable"
             )
-        a = qq[best_row].pop()
-        z = p_ref[best_row].pop()
-        for r in range(best_row - 1, -1, -1):
+        z = p_ref[box_row].pop()
+        for r in range(box_row - 1, -1, -1):
             row = p_ref[r]
             pos = bisect_left(row, z)
             if pos < len(row) and row[pos] == z:

@@ -123,10 +123,10 @@ class TestEgInsert:
                 assert labels == crosses
 
     def test_bumping_alone_keeps_rows_and_columns_strict(self):
-        # why deleting the insertion tableau's row or column check changes
-        # no result: every word the bumping accepts leaves both strict.
-        # Labels 1, 2, ... keep the recording rows strict, so the only
-        # raise left is the bumping's own.
+        # why eg_insert checks neither the rows nor the columns of the
+        # insertion tableau: every word the bumping accepts leaves both
+        # strict, as its comment proves.  Labels 1, 2, ... keep the
+        # recording rows strict, so the only raise left is the bumping's own.
         accepted = 0
         for length in range(1, 7):
             for letters in product(range(1, 6), repeat=length):
@@ -144,6 +144,13 @@ class TestEgInsert:
         # inserting 4 twice into a row without a 5 present
         with pytest.raises(InsertionError):
             eg_insert(((1, 3), (1, 4), (2, 4)))
+
+    def test_recording_row_check_fires(self):
+        # unlike the insertion tableau's, the recording tableau's strictness
+        # rests on the labels, which a word from outside can repeat
+        with pytest.raises(InsertionError) as exc:
+            eg_insert(((1, 3), (1, 4)))
+        assert str(exc.value) == "recording tableau has a non-strict row [1, 1]"
 
 
 class TestQLabelRows:
@@ -170,6 +177,20 @@ class TestEvacuate:
 
     def test_empty(self):
         assert evacuate(Tableau(()), 1) == ()
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            evacuate(Tableau(()), -1)
+        assert str(exc.value) == "n must be nonnegative"
+
+    def test_closed_form_staircase_is_the_insertion_tableau(self):
+        # row r of the row-strict form is r+3, ..., n+1: entry r + c + 3 at
+        # (r, c), so the tableau equals its transpose
+        for n in range(13):
+            closed = tuple(tuple(range(r + 3, n + 2)) for r in range(n - 1))
+            p, _ = eg_insert(eg_word(bottom_rcgraph(n)))
+            assert p.rows == closed, n
+            assert p.transpose().rows == closed, n
 
     def test_single_box(self):
         assert evacuate(Tableau(((2,),)), 2) == ((2, 3),)
