@@ -19,7 +19,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       larger n now fits the rule (120 takes 1.6 s and 81 MB in process)
   biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
       --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
-      target
+      target; an --rc file is read up to m(m+3)/2 + 16 bytes, m = --n + 1,
+      the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
       in process)
   verify --max-n  10, 3.7 s on a quiet host and up to 7.8 s on a slow
@@ -29,10 +30,10 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from pathlib import Path
 
 from .bijections import bracketing_of, partition_of, partition_to_dyck, tree_of
 from .catalan import catalan, q_catalan_via_partitions
@@ -60,6 +61,7 @@ MAX_BIJECT_N = 10
 MAX_BIJECT_RC_N = 450
 MAX_MULTIPLICITY_N = 17
 MAX_VERIFY_N = 10
+RC_EXTRA_NEWLINES = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,8 +214,18 @@ def _cmd_biject(args) -> int:
         raise ValueError("--n must be positive")
     if args.rc:
         _check_limit("--rc --n", args.n, MAX_BIJECT_RC_N)
+        m = args.n + 1
+        # m rows of m+1-i cells and a newline each, and the extra newlines
+        # that RcGraph.from_text strips
+        limit = m * (m + 3) // 2 + RC_EXTRA_NEWLINES
         try:
-            text = Path(args.rc).read_text()
+            with open(args.rc, "rb") as f:
+                data = f.read(limit + 1)
+            if len(data) > limit:
+                raise ValueError(f"--rc file {args.rc} exceeds the limit of "
+                                 f"{limit} bytes for --n {args.n}")
+            # decoded as a text-mode read, universal newlines included
+            text = io.TextIOWrapper(io.BytesIO(data)).read()
         except FileNotFoundError:
             raise ValueError(f"--rc file {args.rc} not found") from None
         except (OSError, UnicodeDecodeError) as exc:
@@ -224,9 +236,9 @@ def _cmd_biject(args) -> int:
             zigzag_index(d)
         except RcGraphError as exc:
             raise ValueError(f"--rc file {args.rc}: {exc}") from None
-        if d.m != args.n + 1:
+        if d.m != m:
             raise ValueError(f"--rc grid is for S_{d.m}, but --n {args.n} "
-                             f"needs S_{args.n + 1}")
+                             f"needs S_{m}")
         graphs = [d]
     else:
         _check_limit("--n", args.n, MAX_BIJECT_N)

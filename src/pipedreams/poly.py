@@ -156,17 +156,13 @@ class QPolynomial:
             tuple(x + (b[k] if k < len(b) else 0) for k, x in enumerate(a))
         )
 
-    def __mul__(self, other: QPolynomial | int) -> QPolynomial:
-        if isinstance(other, int):
-            return QPolynomial(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: QPolynomial) -> QPolynomial:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return QPolynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs

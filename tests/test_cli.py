@@ -285,6 +285,32 @@ def test_oversized_input_is_refused_up_front(capsys, argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize("newlines, code", [(17, 0), (18, 1)],
+                         ids=["at-the-bound", "past-the-bound"])
+def test_biject_rc_file_is_read_up_to_its_bound(capsys, tmp_path, newlines, code):
+    # S_4: 4 * 7 / 2 = 14 bytes of rows and newlines, and 16 extra newlines
+    rc = tmp_path / "bottom.txt"
+    rc.write_text(bottom_rcgraph(3).to_text() + "\n" * newlines)
+    assert rc.stat().st_size == 30 + code
+    got, out, err = run(capsys, "biject", "--n", "3", "--to", "partition",
+                        "--rc", str(rc))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == f"error: --rc file {rc} exceeds the limit of 30 bytes for --n 3\n"
+    else:
+        assert err == ""
+        assert out.endswith('"partition":[]}]}\n')
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_biject_rc_endless_file_is_refused(capsys):
+    code, out, err = run(capsys, "biject", "--n", "2", "--to", "eg",
+                         "--rc", "/dev/zero")
+    assert (code, out) == (1, "")
+    assert err == "error: --rc file /dev/zero exceeds the limit of 25 bytes for --n 2\n"
+
+
 def test_biject_limit_applies_to_the_family_only(capsys, tmp_path):
     rc = tmp_path / "bottom11.txt"
     rc.write_text(bottom_rcgraph(11).to_text())

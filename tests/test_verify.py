@@ -98,8 +98,8 @@ def test_each_grid_sweeps_its_strands_once_per_run(monkeypatch):
     monkeypatch.setattr(rcgraph, "_trace", counted)
     assert all(r.passed for r in verify.run_checks("all", 8))
     # 2,055 fillings for n = 1..8, each swept once across [5]-[8], and its
-    # transpose ([7]) and two split parts ([8]) once each
-    assert len(traced) == 4 * 2055 == 8220
+    # transpose ([7]) once; split ([8]) sweeps neither part
+    assert len(traced) == 2 * 2055 == 4110
 
 
 # Each mutation corrupts one output of one bijection at max_n = 4; the check
