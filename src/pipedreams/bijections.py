@@ -81,7 +81,8 @@ def rcgraph_of(p: Partition, n: int) -> RcGraph:
         for _ in range(parts[k] - parts[k + 1]):
             opens.pop()
             rows[k][opens[-1] - 1] = False
-    return RcGraph(tuple(map(tuple, rows)))
+    # The rows start as a staircase ending in elbows; the loop only adds elbows.
+    return RcGraph._trusted(tuple(map(tuple, rows)))
 
 
 # -- Dyck paths --------------------------------------------------------------

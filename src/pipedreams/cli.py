@@ -12,7 +12,7 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
 
   --perm (enumerate, schubert, specialize)  size 9; worst measured case
       1,3,2,9,8,7,6,5,4 (163,592 fillings): enumerate --format json
-      4.8-5.5 s, 55 MB
+      3.1-3.3 s, 55 MB
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
   catalan --n with --q  80, 0.43-0.57 s and 33 MB; kept at 80, although

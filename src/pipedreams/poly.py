@@ -5,9 +5,14 @@ arbitrary-precision integer coefficients, stored as a map from exponent
 vectors to coefficients.  ``QPolynomial`` is a polynomial in the single
 variable q, stored densely: principal specialisations and q-Catalan
 polynomials.  Schubert polynomials come either from the pipe dream sum (one
-monomial per filling) or, independently, from divided differences applied
-to the staircase monomial of the longest element; the two routes share only
-the result type, so they cross-check each other.
+monomial per filling) or, independently, from divided differences; the two
+routes share only the result type, so they cross-check each other.
+
+The divided differences start not at the staircase monomial of the longest
+element but at x^c(v), c(v) the Lehmer code of a dominant (132-avoiding) v
+above w (Macdonald, Notes on Schubert Polynomials, 1991, (4.7)).  The climb
+from w to v moves (c_i, c_{i+1}) to (c_{i+1} + 1, c_i) at the first
+c_i < c_{i+1}, one ascent at a time.
 
 Divided differences run on packed keys: an exponent vector becomes one
 Python int with a fixed ``width`` of bits per variable, x_k in bits
@@ -28,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .perm import Permutation, longest_element
+from .perm import Permutation
 from .rcgraph import enumerate_rcgraphs, fold_rcgraphs
 
 
@@ -334,28 +339,39 @@ def schubert_specialization(w: Permutation) -> QPolynomial:
 def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
     """Independent route to the Schubert polynomial.
 
-    Starts from the staircase monomial x_1^(m-1) x_2^(m-2) ... (the
-    polynomial of the longest element) and walks down along a reduced word
-    for w^{-1} w_0, one divided difference per letter, always at the first
-    descent.  The operators satisfy the braid relations, so any reduced word
-    gives the same answer.
+    Climbs from w to a dominant permutation v above it and walks back down
+    by divided differences.  The climb edits the Lehmer code c of w, where
+    c_i counts the j > i with w(j) < w(i): while some c_i < c_{i+1}, it
+    takes the first such i, sets (c_i, c_{i+1}) to (c_{i+1} + 1, c_i) and
+    steps back one place.  Since w(i) < w(i+1) exactly when c_i <= c_{i+1},
+    each move is an ascent of the current permutation u, and the new code
+    is that of u s_i, one longer.  The climb ends at a weakly decreasing
+    code, the code of a dominant (132-avoiding) v, whose Schubert
+    polynomial is the single monomial x^c(v) (Macdonald, Notes on Schubert
+    Polynomials, 1991, (4.7)).  As d_i S_{u s_i} = S_u for an ascent i of
+    u, the divided differences for the moves, taken in reverse order, lead
+    from x^c(v) back to S_w.
 
-    The chain packs x^delta once, with the field width of m - 1, the
-    largest exponent any step reads or writes, runs every step on packed
-    keys and unpacks once at the end.
+    The chain packs x^c(v) once, with the field width of its largest
+    exponent, the largest one any step reads or writes, runs every step on
+    packed keys and unpacks once at the end.
     """
-    m = w.size
-    width = max(m - 1, 1).bit_length()
-    f = {_pack(range(m - 1, 0, -1), width): 1}
-    u = list((w.inverse() * longest_element(m)).word)
-    i = 1  # u[:i] is increasing, so the first descent is at i or later
+    word = w.word
+    m = len(word)
+    code = [sum(b < a for b in word[k + 1:]) for k, a in enumerate(word)]
+    moves = []
+    i = 1  # code[:i] weakly decreases, so the first ascent is at i or later
     while i < m:
-        if u[i - 1] > u[i]:
-            f = _divided_difference(f, i, width)
-            u[i - 1], u[i] = u[i], u[i - 1]
+        if code[i - 1] < code[i]:
+            code[i - 1], code[i] = code[i] + 1, code[i - 1]
+            moves.append(i)
             i = max(i - 1, 1)
         else:
             i += 1
+    width = max(code[0], 1).bit_length()
+    f = {_pack(code, width): 1}
+    for i in reversed(moves):
+        f = _divided_difference(f, i, width)
     return SparsePolynomial._trusted(
         {_unpack(key, width): coef for key, coef in f.items()}
     )

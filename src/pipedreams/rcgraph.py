@@ -89,6 +89,14 @@ class RcGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[bool, ...], ...]) -> RcGraph:
+        """Wrap rows already known to form a staircase whose last cells are
+        elbows, skipping the checks of ``__post_init__``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "rows", rows)  # as the frozen __init__ does
+        return out
+
+    @classmethod
     def from_crosses(cls, m: int, crosses: Iterable[tuple[int, int]]) -> RcGraph:
         """Build the filling of the S_m staircase with crosses at the given cells."""
         cells = set()
@@ -185,7 +193,7 @@ class RcGraph:
 
     def monomial(self) -> tuple[int, ...]:
         """Exponent vector: entry i-1 counts the crosses in row i."""
-        counts = [sum(row) for row in self.rows]
+        counts = [row.count(True) for row in self.rows]
         while counts and counts[-1] == 0:
             counts.pop()
         return tuple(counts)
@@ -195,9 +203,10 @@ class RcGraph:
 
         Column j of the staircase is the first m - j entries of the j-th
         tuple of ``zip_longest`` over the rows, the rest being its padding.
+        Cut there, it ends at the anti-diagonal elbow (m - j, j + 1).
         """
         m = self.m
-        return RcGraph(tuple(
+        return RcGraph._trusted(tuple(
             col[:m - j] for j, col in enumerate(zip_longest(*self.rows))
         ))
 
@@ -316,9 +325,12 @@ def fold_rcgraphs(w: Permutation, leaf: T,
     crosses twice.  A strand is also dropped where it would exit a row east
     of its target column, at an elbow or the anti-diagonal, since strands
     move weakly east; b, crossed over, exits where it entered and was
-    tested already.  So every strand leaving row 1 sits weakly west of its
-    target, and m distinct columns with c(s) <= w(s) force c = w: the only
-    state above row 1 is w^-1.
+    tested already.  For the same reason an elbow at column j is dropped
+    when b's target is j: b turns east there and can only exit east of j.
+    The cross needs no such test, since w(traveler) > w(b) >= j already.
+    So every strand leaving row 1 sits weakly west of its target, and m
+    distinct columns with c(s) <= w(s) force c = w: the only state above
+    row 1 is w^-1.
     """
     m = w.size
     wv = (0,) + w.word
@@ -331,7 +343,7 @@ def fold_rcgraphs(w: Permutation, leaf: T,
                 grown = []
                 for traveler, top, cells in fillings:
                     # elbow: the traveler exits north at column j, b takes over east
-                    if wv[traveler] >= j:
+                    if wv[traveler] >= j and wv[b] > j:
                         grown.append((b, top + (traveler,), cells + (False,)))
                     # cross: b exits north at column j, the traveler passes over it
                     if wv[traveler] > wv[b]:
@@ -353,11 +365,12 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     ``fold_rcgraphs`` weighs each state by the list of row tuples below it:
     the empty state by one empty tuple, and each row filling prepends its
     cells to every tuple of the state below.  The fold's part order makes
-    the list canonical.
+    the list canonical.  Its rows always form a staircase ending in the
+    forced elbows, so they are wrapped unchecked.
     """
-    return [RcGraph(rows) for rows in fold_rcgraphs(w, [()], lambda r, parts: [
-        (cells,) + rows for cells, below in parts for rows in below
-    ])]
+    return [RcGraph._trusted(rows) for rows in fold_rcgraphs(
+        w, [()], lambda r, parts: [
+            (cells,) + rows for cells, below in parts for rows in below])]
 
 
 def count_rcgraphs(w: Permutation) -> int:
@@ -431,8 +444,10 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     n = zigzag_index(d, min_n=1)
     rows = d.rows
     k = max(r for r, row in enumerate(rows[:n], start=1) if not row[0])
-    south = RcGraph(tuple(row[1:] for row in rows[k - 1:n]))
-    north = RcGraph(tuple(row[:1] + row[n + 2 - k:] for row in rows[:k]))
+    # Both are staircases, each row ending at an anti-diagonal or turn elbow.
+    south = RcGraph._trusted(tuple(row[1:] for row in rows[k - 1:n]))
+    north = RcGraph._trusted(
+        tuple(row[:1] + row[n + 2 - k:] for row in rows[:k]))
     return k, south, north
 
 
@@ -453,7 +468,8 @@ def unsplit(n: int, k: int, south: RcGraph, north: RcGraph) -> RcGraph:
     rows.append(north.rows[-1] + south.rows[0])
     rows += [(True,) + row for row in south.rows[1:]]
     rows.append((False,))
-    return RcGraph(tuple(rows))
+    # Parts of the checked sizes fill the staircase of S_(n+1) row by row.
+    return RcGraph._trusted(tuple(rows))
 
 
 def chute_closure(start: RcGraph) -> list[RcGraph]:

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 from collections import Counter
 from itertools import permutations
 
@@ -6,6 +7,7 @@ import pytest
 
 from pipedreams.catalan import catalan
 from pipedreams.perm import identity, longest_element, make_perm, zigzag, embed
+from pipedreams import poly
 from pipedreams.poly import (
     QPolynomial,
     SparsePolynomial,
@@ -18,9 +20,10 @@ from pipedreams.rcgraph import count_rcgraphs, enumerate_rcgraphs
 
 
 def schubert_via_last_descents(w):
-    """The divided-difference chain from x^delta down a reduced word for
-    w^{-1} w_0 that always takes the last descent, not the first one as
-    ``schubert_via_divided_differences`` does."""
+    """The divided-difference chain from x^delta, the polynomial of the
+    longest element, down a reduced word for w^{-1} w_0 that always takes
+    the last descent; ``schubert_via_divided_differences`` starts instead
+    from the monomial of a dominant permutation above w."""
     m = w.size
     f = SparsePolynomial({tuple(range(m - 1, 0, -1)): 1})
     u = list((w.inverse() * longest_element(m)).word)
@@ -252,6 +255,21 @@ class TestOracle:
             w = zigzag(n)
             assert schubert_polynomial(w) == schubert_via_divided_differences(w)
 
+    def test_dominant_start_is_the_code_monomial(self):
+        """The start of ``schubert_via_divided_differences``: for v with a
+        weakly decreasing Lehmer code, the x^delta chain gives x^c(v)
+        (Macdonald (4.7)), and S_m has C_m such v."""
+        for m in range(1, 8):
+            dominant = 0
+            for word in permutations(range(1, m + 1)):
+                code = [sum(b < a for b in word[k + 1:]) for k, a in enumerate(word)]
+                if all(map(operator.ge, code, code[1:])):
+                    dominant += 1
+                    assert schubert_via_last_descents(make_perm(word)) == (
+                        SparsePolynomial({tuple(code): 1})
+                    )
+            assert dominant == catalan(m)
+
     @pytest.mark.parametrize(
         "max_n, descent, digest",
         [
@@ -280,6 +298,26 @@ class TestOracle:
                 poly = route(w)
                 h.update(f"{w}:{poly}\n".encode())
         assert h.hexdigest() == digest
+
+
+class TestDividedDifferenceWork:
+    """The route's work as a count of packed kernel calls: one per move of
+    the climb from w to its dominant start.  From x^delta it was one per
+    letter of w^{-1} w_0, 21 * 5040 - sum l(w) = 52,920 over S_7."""
+
+    def test_kernel_calls_over_s7(self, monkeypatch):
+        calls = 0
+        kernel = poly._divided_difference
+
+        def counted(terms, i, width):
+            nonlocal calls
+            calls += 1
+            return kernel(terms, i, width)
+
+        monkeypatch.setattr(poly, "_divided_difference", counted)
+        for word in permutations(range(1, 8)):
+            schubert_via_divided_differences(make_perm(word))
+        assert calls == 18_936
 
 
 class TestSpecialization:
