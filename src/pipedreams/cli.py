@@ -17,14 +17,14 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       working near 7,150)
   catalan --n with --q  80, 0.43-0.57 s and 33 MB; kept at 80, although
       larger n now fits the rule (120 takes 1.6 s and 81 MB in process)
-  biject --n  10 for the whole family, 3.0-5.2 s and 153 MB; 450 for one
-      --rc grid, 6.2 s and 43 MB (500 takes 11 s); --to eg is the slowest
-      target; an --rc file is read up to m(m+3)/2 + 16 bytes, m = --n + 1,
-      the largest grid for S_m and 16 extra newlines
+  biject --n  10 for the whole family, whose items are written in batches
+      as they are built: 0.6-2.0 s and 23 MB, --to eg being the slowest
+      target; 450 for one --rc grid (the bottom grid with --to eg takes
+      2.4 s and 41 MB); an --rc file is read up to m(m+3)/2 + 16 bytes,
+      m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
       in process)
-  verify --max-n  10, 3.7 s on a quiet host and up to 7.8 s on a slow
-      one, 47 MB (9 takes 1.0 s and 24 MB)
+  verify --max-n  10, 3.2-3.6 s and 41 MB (9 takes 0.9 s and 23 MB)
 """
 
 from __future__ import annotations
@@ -139,24 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_listing(head: str, items, fmt, sep: str, tail: str) -> None:
+    """Write head, fmt of each item joined by sep, and tail to stdout in
+    batches of items, so the output is never held whole and an unbuffered
+    stdout (python -u) is not written to once per item."""
+    write = sys.stdout.write
+    write(head)
+    for i in range(0, len(items), 1024):
+        write((sep if i else "") + sep.join(map(fmt, items[i:i + 1024])))
+    write(tail)
+
+
 def _cmd_enumerate(args) -> int:
     w = _perm(args.perm)
     graphs = enumerate_rcgraphs(w)
-    # Written in batches of fillings, so the output is never held whole
-    # and an unbuffered stdout (python -u) is not written to once per filling.
     if args.format == "json":
         head = f'{{"perm":{_dumps(str(w))},"count":{len(graphs)},"rcgraphs":['
-        sep, tail = ",", "]}\n"
-        fmt = lambda g: _dumps(g.to_json_dict())
+        _write_listing(head, graphs, lambda g: _dumps(g.to_json_dict()), ",", "]}\n")
     else:
         head = "legend: '+' = cross, '.' = elbow\n" if args.legend else ""
-        sep, tail, fmt = "\n\n", "\n", RcGraph.to_text
-    write = sys.stdout.write
-    write(head)
-    batch = 1024
-    for i in range(0, len(graphs), batch):
-        write((sep if i else "") + sep.join(map(fmt, graphs[i:i + batch])))
-    write(tail)
+        _write_listing(head, graphs, RcGraph.to_text, "\n\n", "\n")
     return 0
 
 
@@ -243,8 +245,8 @@ def _cmd_biject(args) -> int:
     else:
         _check_limit("--n", args.n, MAX_BIJECT_N)
         graphs = enumerate_rcgraphs(zigzag(args.n))
-    items = [_item(d, args.n, args.to) for d in graphs]
-    print(_dumps({"n": args.n, "to": args.to, "items": items}))
+    _write_listing(f'{{"n":{args.n},"to":{_dumps(args.to)},"items":[', graphs,
+                   lambda d: _dumps(_item(d, args.n, args.to)), ",", "]}\n")
     return 0
 
 

@@ -49,7 +49,10 @@ class Permutation:
         inv = [0] * len(self.word)
         for i, v in enumerate(self.word, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        # a rearrangement of 1..m already, so __post_init__ is skipped
+        out = object.__new__(Permutation)
+        object.__setattr__(out, "word", tuple(inv))
+        return out
 
     def __mul__(self, other: Permutation) -> Permutation:
         """Composition under the convention (u * w)(i) = u(w(i))."""

@@ -18,8 +18,8 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 from operator import itemgetter
@@ -62,15 +62,18 @@ class ChuteMoveError(RcGraphError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RcGraph:
     """An immutable staircase filling; ``rows[i-1][j-1]`` is True for a cross.
 
     Row i stores all m+1-i of its cells, including the trailing
-    anti-diagonal cell, which is always an elbow.
+    anti-diagonal cell, which is always an elbow.  ``_word`` is the exit
+    word where it is known without a sweep, else None (see ``exit_word``).
     """
 
     rows: tuple[tuple[bool, ...], ...]
+    _word: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.rows)
@@ -89,11 +92,15 @@ class RcGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[bool, ...], ...]) -> RcGraph:
+    def _trusted(cls, rows: tuple[tuple[bool, ...], ...],
+                 word: tuple[int, ...] | None = None) -> RcGraph:
         """Wrap rows already known to form a staircase whose last cells are
-        elbows, skipping the checks of ``__post_init__``."""
+        elbows, skipping the checks of ``__post_init__``.  ``word``, if given,
+        is their exit word, which a listing or a transpose knows unswept."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "rows", rows)  # as the frozen __init__ does
+        # the slots' own setters, which the frozen __setattr__ does not guard
+        _set_rows(out, rows)
+        _set_word(out, word)
         return out
 
     @classmethod
@@ -168,17 +175,19 @@ class RcGraph:
 
     # -- semantics ---------------------------------------------------------
 
-    @cached_property
+    @property
     def exit_word(self) -> tuple[int, ...]:
         """The strand exiting at each column, which is the inverse word of
         the traced permutation.
 
-        The rows are swept once per grid and the word is kept on it.  A
-        grid that is not reduced raises NotReducedError on every access,
-        since a raise leaves nothing cached.  The word is not a field, so
-        equality, hashing, ``repr`` and the serialized forms ignore it.
+        A grid from ``enumerate_rcgraphs`` carries the word of w^-1, as
+        ``fold_rcgraphs`` proves every filling it lists exits, and the
+        transpose of a grid that carries a word carries its inverse.  Any
+        other grid sweeps its rows on every read and keeps nothing, so one
+        that is not reduced raises NotReducedError every time.
         """
-        return _trace(self.rows)
+        word = self._word
+        return _trace(self.rows) if word is None else word
 
     def permutation(self) -> Permutation:
         """Trace all strands and return the permutation they realise.
@@ -203,12 +212,17 @@ class RcGraph:
 
         Column j of the staircase is the first m - j entries of the j-th
         tuple of ``zip_longest`` over the rows, the rest being its padding.
-        Cut there, it ends at the anti-diagonal elbow (m - j, j + 1).
+        Cut there, it ends at the anti-diagonal elbow (m - j, j + 1).  Its
+        strands swap entry and exit, so a carried exit word passes on
+        inverted.
         """
         m = self.m
+        word = self._word
+        if word is not None:
+            word = Permutation(word).inverse().word
         return RcGraph._trusted(tuple(
             col[:m - j] for j, col in enumerate(zip_longest(*self.rows))
-        ))
+        ), word)
 
     # -- serialization -----------------------------------------------------
 
@@ -228,6 +242,10 @@ class RcGraph:
         for (i, j), value in changes.items():
             rows[i - 1][j - 1] = value
         return RcGraph(tuple(tuple(r) for r in rows))
+
+
+_set_rows = RcGraph.rows.__set__
+_set_word = RcGraph._word.__set__
 
 
 def _trace(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
@@ -366,9 +384,11 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     the empty state by one empty tuple, and each row filling prepends its
     cells to every tuple of the state below.  The fold's part order makes
     the list canonical.  Its rows always form a staircase ending in the
-    forced elbows, so they are wrapped unchecked.
+    forced elbows, so they are wrapped unchecked, and each traces w, so
+    each carries the one tuple w^-1.word as its exit word, unswept.
     """
-    return [RcGraph._trusted(rows) for rows in fold_rcgraphs(
+    word = w.inverse().word
+    return [RcGraph._trusted(rows, word) for rows in fold_rcgraphs(
         w, [()], lambda r, parts: [
             (cells,) + rows for cells, below in parts for rows in below])]
 

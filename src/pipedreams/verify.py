@@ -53,6 +53,7 @@ from .perm import (
     zigzag,
 )
 from .poly import schubert_polynomial, schubert_via_divided_differences
+from . import rcgraph
 from .rcgraph import RcGraph, enumerate_rcgraphs, split, turn_row_shift
 
 SUITES = ("prop1", "bijections", "eg", "transpose", "all")
@@ -97,14 +98,22 @@ def check_specialization(max_n: int) -> tuple[list[str], str]:
 
 
 def check_counting(max_n: int, family: Family) -> tuple[list[str], str]:
-    """The zigzag of n has exactly catalan(n) fillings."""
+    """The zigzag of n has exactly catalan(n) fillings, and each traces it:
+    one sweep each confirms the word the listing carries unswept, which is
+    the zigzag's own, since it is an involution."""
     failures = []
     counts = []
     for n in range(1, max_n + 1):
-        got = len(family(n))
+        graphs = family(n)
+        got = len(graphs)
         counts.append(got)
         if got != catalan(n):
             failures.append(f"n={n}: {got} fillings, expected {catalan(n)}")
+        word = zigzag(n).word
+        astray = sum(rcgraph._trace(d.rows) != word for d in graphs)
+        if astray:
+            failures.append(
+                f"n={n}: {astray} of {got} fillings do not trace the zigzag")
     return failures, f"counts {counts} for n=1..{max_n}"
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams.cli import main
-from pipedreams.rcgraph import bottom_rcgraph
+from pipedreams.cli import _dumps, _item, main
+from pipedreams.perm import zigzag
+from pipedreams.rcgraph import bottom_rcgraph, enumerate_rcgraphs
 
 ENUMERATE_ASCII = """\
 .++.
@@ -368,16 +369,33 @@ def test_q_catalan_at_the_limit(capsys):
 
 
 def test_closed_stdout_exits_1_without_traceback():
-    # about 0.3 MB of output, more than a pipe buffer holds
+    # each about 0.3 MB of output, more than a pipe buffer holds
     env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pipedreams.cli", "enumerate",
-         "--perm", "1,9,8,7,6,5,4,3,2", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
-    assert "Traceback" not in err
-    assert "Exception ignored" not in err
+    for argv in (["enumerate", "--perm", "1,9,8,7,6,5,4,3,2", "--format", "json"],
+                 ["biject", "--n", "8", "--to", "eg"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pipedreams.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, argv
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("to", ["partition", "dyck", "tree", "eg"])
+def test_biject_streams_the_object_built_whole(capsys, tmp_path, to):
+    # n = 8 has 1,430 items, more than one batch of the writer
+    for n in (1, 2, 3, 4, 5, 6, 8):
+        code, out, err = run(capsys, "biject", "--n", str(n), "--to", to)
+        items = [_item(d, n, to) for d in enumerate_rcgraphs(zigzag(n))]
+        assert (code, err) == (0, "")
+        assert out == _dumps({"n": n, "to": to, "items": items}) + "\n"
+    d = enumerate_rcgraphs(zigzag(5))[17]
+    rc = tmp_path / "grid.txt"
+    rc.write_text(d.to_text())
+    code, out, err = run(capsys, "biject", "--n", "5", "--to", to, "--rc", str(rc))
+    assert (code, err) == (0, "")
+    assert out == _dumps({"n": 5, "to": to, "items": [_item(d, 5, to)]}) + "\n"

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -320,6 +322,28 @@ class TestChuteMoves:
         assert err.value.condition == condition
         assert str(err.value) == message
 
+    def test_no_pipe_dream_of_s6_reaches_condition_4(self):
+        # Every (elbow, cell strictly below-left) pair on every filling of
+        # S_1..S_6: condition 4 refuses none of them, while conditions 1-3
+        # refuse the rest.  Pinned, not proved.
+        pairs, moves, refusals = 0, 0, Counter()
+        for m in range(1, 7):
+            for word in permutations(range(1, m + 1)):
+                for d in enumerate_rcgraphs(make_perm(word)):
+                    for i, j in d.elbows():
+                        for i2 in range(i + 1, m + 1):
+                            for j2 in range(1, j):
+                                pairs += 1
+                                try:
+                                    inverse_chute_move(d, (i, j), (i2, j2))
+                                except ChuteMoveError as err:
+                                    refusals[err.condition] += 1
+                                else:
+                                    moves += 1
+        assert (pairs, moves) == (315347, 9189)
+        assert refusals[4] == 0
+        assert sum(refusals.values()) == pairs - moves
+
     def test_preserves_permutation_and_cross_count(self):
         for n in range(1, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
@@ -514,11 +538,14 @@ class TestSplitOracle:
 
 class TestExitWordMemo:
     def test_traced_and_untraced_copies_agree(self):
+        # a listed grid carries its word in the _word slot; a grid built
+        # from the same rows carries none and sweeps instead
         for n in range(0, 6):
             for d in enumerate_rcgraphs(zigzag(n)):
                 zigzag_index(d)
                 copy = RcGraph(d.rows)
-                assert "exit_word" in vars(d) and "exit_word" not in vars(copy)
+                assert d._word == _zigzag_word(n) and copy._word is None
+                assert d.exit_word == copy.exit_word
                 assert d == copy and hash(d) == hash(copy)
                 assert len({d, copy}) == 1
                 assert repr(d) == repr(copy)
@@ -530,7 +557,7 @@ class TestExitWordMemo:
         for _ in range(2):
             with pytest.raises(NotReducedError, match="^strands 2 and 3 cross twice$"):
                 g.exit_word
-            assert "exit_word" not in vars(g)
+            assert g._word is None
         with pytest.raises(NotReducedError, match="^strands 2 and 3 cross twice$"):
             g.permutation()
 
@@ -558,9 +585,49 @@ class TestExitWordMemo:
         d.permutation()
         split(d)
         zigzag_index(d.transpose())
-        # d once and its transpose once; split sweeps neither part
-        assert len(traced) == 2
-        assert traced[0] == d.rows
+        # a listed grid and its transpose carry their words, and split
+        # sweeps neither part
+        assert traced == []
+        # a grid built from rows keeps no word, so it sweeps once per read
+        copy = RcGraph(d.rows)
+        zigzag_index(copy)
+        copy.permutation()
+        assert traced == [d.rows, d.rows]
+
+    def test_carried_words_equal_the_sweep(self):
+        fillings = 0
+        for m in range(1, 7):
+            for word in permutations(range(1, m + 1)):
+                w = make_perm(word)
+                for d in enumerate_rcgraphs(w):
+                    fillings += 1
+                    assert _trace(d.rows) == d.exit_word == w.inverse().word
+                    t = d.transpose()
+                    assert t._word is not None
+                    assert _trace(t.rows) == t.exit_word == word
+        assert fillings == 6524
+        for n in range(1, 11):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                fillings += 1
+                assert _trace(d.rows) == d.exit_word
+                t = d.transpose()
+                assert t._word is not None and _trace(t.rows) == t.exit_word
+        assert fillings == 6524 + 23713
+
+    def test_reading_the_word_allocates_nothing_per_grid(self):
+        graphs = enumerate_rcgraphs(zigzag(10))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in graphs:
+                d.exit_word
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a memo on each grid, such as a cached_property in the instance
+        # __dict__, would cost about 190 B per grid
+        assert len(graphs) == 16796
+        assert grown < 1024
 
 
 class TestRowBuildersMatchCrossLists:

@@ -97,9 +97,24 @@ def test_each_grid_sweeps_its_strands_once_per_run(monkeypatch):
 
     monkeypatch.setattr(rcgraph, "_trace", counted)
     assert all(r.passed for r in verify.run_checks("all", 8))
-    # 2,055 fillings for n = 1..8, each swept once across [5]-[8], and its
-    # transpose ([7]) once; split ([8]) sweeps neither part
-    assert len(traced) == 2 * 2055 == 4110
+    # 2,055 fillings for n = 1..8, each swept once, by [3]; the listed
+    # fillings and their transposes ([7]) carry their words, and split ([8])
+    # sweeps neither part
+    assert len(traced) == 2055
+
+
+def test_check_3_sweeps_every_filling_against_the_zigzag(monkeypatch):
+    real = rcgraph._trace
+    bottom = bottom_rcgraph(3).rows
+
+    def corrupt(rows):
+        word = real(rows)
+        return word[::-1] if rows == bottom else word
+
+    monkeypatch.setattr(rcgraph, "_trace", corrupt)
+    result = verify.run_checks("prop1", 4)[2]
+    assert (result.ident, result.passed) == ("3", False)
+    assert result.detail == "n=3: 1 of 5 fillings do not trace the zigzag"
 
 
 # Each mutation corrupts one output of one bijection at max_n = 4; the check
