@@ -15,11 +15,11 @@ area statistic can travel along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
 from .catalan import Partition, fits_staircase
+from .perm import Value
 from .rcgraph import RcGraph, zigzag_index
 
 
@@ -88,14 +88,14 @@ def rcgraph_of(p: Partition, n: int) -> RcGraph:
 # -- Dyck paths --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Value):
     """A path of U and R steps from (0,0) to (n,n) staying weakly above the
     diagonal: every prefix has at least as many U steps as R steps."""
 
-    steps: str
+    __slots__ = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: str) -> None:
+        object.__setattr__(self, "steps", steps)
         ups = downs = 0
         for ch in self.steps:
             if ch == "U":
@@ -161,8 +161,7 @@ def dyck_to_partition(path: DyckPath) -> Partition:
 # -- bracketings and trees ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bracketing:
+class Bracketing(Value):
     """A full binary bracketing of the letters 1 .. letters.
 
     ``pairs`` holds one (open, close) per bracket pair: the left bracket
@@ -178,19 +177,18 @@ class Bracketing:
     or a single letter.
     """
 
-    letters: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("letters", "pairs")
 
-    def __post_init__(self) -> None:
-        if self.letters < 1:
+    def __init__(self, letters: int, pairs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "letters", letters)
+        if letters < 1:
             raise MalformedBracketingError("need at least one letter")
-        if len(self.pairs) != self.letters - 1:
+        if len(pairs) != letters - 1:
             raise MalformedBracketingError(
-                f"{len(self.pairs)} pairs cannot fully bracket "
-                f"{self.letters} letters"
+                f"{len(pairs)} pairs cannot fully bracket {letters} letters"
             )
-        for o, c in self.pairs:
-            if not (1 <= o <= c <= self.letters):
+        for o, c in pairs:
+            if not (1 <= o <= c <= letters):
                 raise MalformedBracketingError(
                     f"pair ({o}, {c}) is out of range"
                 )
@@ -198,7 +196,7 @@ class Bracketing:
                 raise MalformedBracketingError(
                     f"pair ({o}, {c}) encloses a single letter"
                 )
-        pairs = sorted(self.pairs)
+        pairs = sorted(pairs)
         object.__setattr__(self, "pairs", tuple(pairs))
         # Outer pairs first: opens ascending, and the largest close first
         # for each open, which a stable sort by open alone of the reversed

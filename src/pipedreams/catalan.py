@@ -3,23 +3,23 @@ partitions whose diagrams fit inside the staircase (n-1, n-2, ..., 1)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .perm import Value
 from .poly import QPolynomial
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """An integer partition: a weakly decreasing tuple of positive parts.
 
     Zero parts are never stored; the empty partition is ``Partition()``.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "parts", parts)
         for a, b in zip(self.parts, self.parts[1:]):
             if a < b:
                 raise ValueError(

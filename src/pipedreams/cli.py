@@ -19,19 +19,18 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       larger n now fits the rule (120 takes 1.6 s and 81 MB in process)
   biject --n  10 for the whole family, whose items are written in batches
       as they are built: 0.6-2.0 s and 23 MB, --to eg being the slowest
-      target; 450 for one --rc grid (the bottom grid with --to eg takes
-      2.4 s and 41 MB); an --rc file is read up to m(m+3)/2 + 16 bytes,
-      m = --n + 1, the largest grid for S_m and 16 extra newlines
+      target; 450 for one --rc grid (--to eg, the slowest, takes 2.3-2.7 s
+      and 40 MB on five grids); an --rc file is read up to m(m+3)/2 + 16
+      bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
       in process)
-  verify --max-n  10, 3.2-3.6 s and 41 MB (9 takes 0.9 s and 23 MB)
+  verify --max-n  10, 3.2-3.6 s and 39 MB (9 takes 0.9-1.1 s and 21 MB)
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 
@@ -69,8 +68,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _json_writer():
+    """The compact JSON encoder; only the commands that write JSON load json."""
+    import json
+    return json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -154,8 +155,9 @@ def _cmd_enumerate(args) -> int:
     w = _perm(args.perm)
     graphs = enumerate_rcgraphs(w)
     if args.format == "json":
-        head = f'{{"perm":{_dumps(str(w))},"count":{len(graphs)},"rcgraphs":['
-        _write_listing(head, graphs, lambda g: _dumps(g.to_json_dict()), ",", "]}\n")
+        dumps = _json_writer()
+        head = f'{{"perm":{dumps(str(w))},"count":{len(graphs)},"rcgraphs":['
+        _write_listing(head, graphs, lambda g: dumps(g.to_json_dict()), ",", "]}\n")
     else:
         head = "legend: '+' = cross, '.' = elbow\n" if args.legend else ""
         _write_listing(head, graphs, RcGraph.to_text, "\n\n", "\n")
@@ -245,8 +247,9 @@ def _cmd_biject(args) -> int:
     else:
         _check_limit("--n", args.n, MAX_BIJECT_N)
         graphs = enumerate_rcgraphs(zigzag(args.n))
-    _write_listing(f'{{"n":{args.n},"to":{_dumps(args.to)},"items":[', graphs,
-                   lambda d: _dumps(_item(d, args.n, args.to)), ",", "]}\n")
+    dumps = _json_writer()
+    _write_listing(f'{{"n":{args.n},"to":{dumps(args.to)},"items":[', graphs,
+                   lambda d: dumps(_item(d, args.n, args.to)), ",", "]}\n")
     return 0
 
 

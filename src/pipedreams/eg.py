@@ -21,12 +21,11 @@ recording tableau alone.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, repeat, zip_longest
 from operator import lt
 
 from .catalan import Partition
-from .perm import zigzag
+from .perm import Value, zigzag
 from .rcgraph import RcGraph, enumerate_rcgraphs, zigzag_index
 
 RIGHT_TO_LEFT = "right-to-left"
@@ -48,14 +47,13 @@ class NonPartitionBoxesError(ValueError):
     partition shape."""
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Value):
     """A filling of a partition shape with positive integers."""
 
-    rows: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = self.rows
+    def __init__(self, rows: tuple[tuple[int, ...], ...] = ()) -> None:
+        object.__setattr__(self, "rows", rows)
         for a, b in zip(rows, rows[1:]):
             if len(b) > len(a):
                 raise ValueError("row lengths must weakly decrease")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -11,17 +11,52 @@ class NotAPermutationError(ValueError):
     """The word is not a rearrangement of 1..m."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Value:
+    """Base of the immutable value classes: equality, hash and repr read the
+    fields, the slots not named with a leading underscore, as a frozen
+    dataclass's do.  Constructors set the slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._key = attrgetter(*fields)  # one field's value, or a tuple of them
+
+    def _values(self) -> tuple:
+        return (self._key(self),) if len(self._fields) == 1 else self._key(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = (f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({', '.join(args)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{self.__class__.__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Permutation(Value):
     """A permutation w of {1, ..., m} in one-line notation.
 
     ``word[i - 1]`` is w(i).  Instances are immutable and hashable, so they
     are safe to share freely and to use as dictionary keys.
     """
 
-    word: tuple[int, ...]
+    __slots__ = ("word", "__dict__")  # the __dict__ caches length
 
-    def __post_init__(self) -> None:
+    def __init__(self, word: tuple[int, ...]) -> None:
+        object.__setattr__(self, "word", word)
         if not self.word:
             raise NotAPermutationError("empty word")
         if sorted(self.word) != list(range(1, len(self.word) + 1)):
@@ -49,7 +84,7 @@ class Permutation:
         inv = [0] * len(self.word)
         for i, v in enumerate(self.word, start=1):
             inv[v - 1] = i
-        # a rearrangement of 1..m already, so __post_init__ is skipped
+        # a rearrangement of 1..m already, so __init__'s check is skipped
         out = object.__new__(Permutation)
         object.__setattr__(out, "word", tuple(inv))
         return out

@@ -18,14 +18,13 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, TypeVar
 
-from .perm import Permutation, zigzag
+from .perm import Permutation, Value, zigzag
 
 T = TypeVar("T")
 
@@ -62,8 +61,7 @@ class ChuteMoveError(RcGraphError):
         self.condition = condition
 
 
-@dataclass(frozen=True, slots=True)
-class RcGraph:
+class RcGraph(Value):
     """An immutable staircase filling; ``rows[i-1][j-1]`` is True for a cross.
 
     Row i stores all m+1-i of its cells, including the trailing
@@ -71,11 +69,11 @@ class RcGraph:
     word where it is known without a sweep, else None (see ``exit_word``).
     """
 
-    rows: tuple[tuple[bool, ...], ...]
-    _word: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("rows", "_word")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: tuple[tuple[bool, ...], ...]) -> None:
+        _set_rows(self, rows)
+        _set_word(self, None)
         m = len(self.rows)
         if m == 0:
             raise MalformedGridError("a pipe dream needs at least one row")
@@ -95,10 +93,10 @@ class RcGraph:
     def _trusted(cls, rows: tuple[tuple[bool, ...], ...],
                  word: tuple[int, ...] | None = None) -> RcGraph:
         """Wrap rows already known to form a staircase whose last cells are
-        elbows, skipping the checks of ``__post_init__``.  ``word``, if given,
+        elbows, skipping the checks of ``__init__``.  ``word``, if given,
         is their exit word, which a listing or a transpose knows unswept."""
         out = cls.__new__(cls)
-        # the slots' own setters, which the frozen __setattr__ does not guard
+        # the slots' own setters, which the raising __setattr__ does not guard
         _set_rows(out, rows)
         _set_word(out, word)
         return out

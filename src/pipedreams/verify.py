@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as all_words
 from math import comb
+from typing import NamedTuple
 
 from .bijections import (
     bracketing_of,
@@ -62,8 +62,7 @@ Family = Callable[[int], list[RcGraph]]
 Partitions = Callable[[int], list[Partition]]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ident: str
     name: str
     suite: str

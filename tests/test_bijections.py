@@ -271,7 +271,7 @@ def ref_rcgraph_of(p, n):
 
 
 def ref_bracketing_pairs(letters, pairs):
-    """The checks of ``Bracketing.__post_init__``; returns the sorted pairs."""
+    """The checks of ``Bracketing.__init__``; returns the sorted pairs."""
     if letters < 1:
         raise MalformedBracketingError("need at least one letter")
     if len(pairs) != letters - 1:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pipedreams
-from pipedreams.cli import _dumps, _item, main
+from pipedreams.cli import _item, main
 from pipedreams.perm import zigzag
 from pipedreams.rcgraph import bottom_rcgraph, enumerate_rcgraphs
 
@@ -368,6 +368,28 @@ def test_q_catalan_at_the_limit(capsys):
     )
 
 
+START_UP = """
+import sys
+heavy = {"dataclasses", "inspect", "json"}
+before = heavy & set(sys.modules)
+import pipedreams.cli
+print(sorted(heavy & set(sys.modules) - before), file=sys.stderr)
+code = pipedreams.cli.main(["verify", "--max-n", "1"])
+print(sorted(heavy & set(sys.modules) - before), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_json():
+    # pytest itself has loaded all three, so a fresh interpreter checks
+    env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", START_UP], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("11/11 checks passed\n")
+    assert proc.stderr == "[]\n[]\n"
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # each about 0.3 MB of output, more than a pipe buffer holds
     env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))
@@ -385,6 +407,18 @@ def test_closed_stdout_exits_1_without_traceback():
         assert "Exception ignored" not in err
 
 
+def assert_same_output(out: str, obj) -> None:
+    """out is obj as compact JSON and a newline.  A mismatch reports the
+    lengths and the first differing offset, where pytest would diff strings
+    of about 0.5 MB for a minute."""
+    want = json.dumps(obj, separators=(",", ":")) + "\n"
+    if out != want:
+        at = len(os.path.commonprefix([out, want]))
+        pytest.fail(f"output of {len(out)} chars, expected {len(want)}; first "
+                    f"difference at {at}: {out[at:at + 20]!r} != {want[at:at + 20]!r}",
+                    pytrace=False)
+
+
 @pytest.mark.parametrize("to", ["partition", "dyck", "tree", "eg"])
 def test_biject_streams_the_object_built_whole(capsys, tmp_path, to):
     # n = 8 has 1,430 items, more than one batch of the writer
@@ -392,10 +426,10 @@ def test_biject_streams_the_object_built_whole(capsys, tmp_path, to):
         code, out, err = run(capsys, "biject", "--n", str(n), "--to", to)
         items = [_item(d, n, to) for d in enumerate_rcgraphs(zigzag(n))]
         assert (code, err) == (0, "")
-        assert out == _dumps({"n": n, "to": to, "items": items}) + "\n"
+        assert_same_output(out, {"n": n, "to": to, "items": items})
     d = enumerate_rcgraphs(zigzag(5))[17]
     rc = tmp_path / "grid.txt"
     rc.write_text(d.to_text())
     code, out, err = run(capsys, "biject", "--n", "5", "--to", to, "--rc", str(rc))
     assert (code, err) == (0, "")
-    assert out == _dumps({"n": 5, "to": to, "items": [_item(d, 5, to)]}) + "\n"
+    assert_same_output(out, {"n": 5, "to": to, "items": [_item(d, 5, to)]})

@@ -1,8 +1,17 @@
+import copy
+import pickle
 from itertools import permutations
 from math import comb
 
 import pytest
 
+from pipedreams.bijections import Bracketing, DyckPath
+from pipedreams.catalan import Partition
+from pipedreams.eg import Tableau
+from pipedreams.multiplicity import SpecializationReport
+from pipedreams.poly import QPolynomial
+from pipedreams.rcgraph import RcGraph, enumerate_rcgraphs
+from pipedreams.verify import CheckResult
 from pipedreams.perm import (
     NotAPermutationError,
     Permutation,
@@ -182,3 +191,76 @@ class TestLocalEquationsCondition:
     def test_matches_oracle_on_s4(self):
         for word in permutations(range(1, 5)):
             assert local_equations_condition(make_perm(word)) == condition_oracle(word)
+
+
+# Each value class built by keyword, with its field tuple and its repr.
+VALUES = [
+    (Permutation(word=(3, 1, 2)), ((3, 1, 2),), "Permutation(word=(3, 1, 2))"),
+    (Partition(parts=(2, 1)), ((2, 1),), "Partition(parts=(2, 1))"),
+    (Partition(), ((),), "Partition(parts=())"),
+    (DyckPath(steps="UURR"), ("UURR",), "DyckPath(steps='UURR')"),
+    (Bracketing(letters=3, pairs=((2, 3), (1, 3))), (3, ((1, 3), (2, 3))),
+     "Bracketing(letters=3, pairs=((1, 3), (2, 3)))"),
+    (Tableau(rows=((1, 2), (3,))), (((1, 2), (3,)),), "Tableau(rows=((1, 2), (3,)))"),
+    (Tableau(), ((),), "Tableau(rows=())"),
+    (RcGraph(rows=((True, False), (False,))), (((True, False), (False,)),),
+     "RcGraph(rows=((True, False), (False,)))"),
+    (SpecializationReport(n=1, lhs=QPolynomial((1,)), rhs=QPolynomial((1,)),
+                          equal=True, count=1, recurrence_ok=True),
+     (1, QPolynomial((1,)), QPolynomial((1,)), True, 1, True),
+     "SpecializationReport(n=1, lhs=QPolynomial((1,)), rhs=QPolynomial((1,)), "
+     "equal=True, count=1, recurrence_ok=True)"),
+    (CheckResult(ident="1", name="a", suite="prop1", passed=True, detail="d"),
+     ("1", "a", "prop1", True, "d"),
+     "CheckResult(ident='1', name='a', suite='prop1', passed=True, detail='d')"),
+]
+VALUE_IDS = [f"{type(x).__name__}-{i}" for i, (x, _, _) in enumerate(VALUES)]
+
+
+class TestValueClasses:
+    """The value classes keep the semantics of the frozen dataclasses they
+    were: equality and hash on the field tuple, the dataclass repr, and no
+    assignment or deletion."""
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_hash_equality_and_repr(self, value, fields, text):
+        assert hash(value) == hash(fields)
+        assert repr(value) == text
+        twin = type(value)(*fields)
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_assignment_and_deletion_raise(self, value, fields, text):
+        for name in (*type(value)._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_copy_and_pickle_round_trip(self, value, fields, text):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and repr(twin) == text
+
+    def test_other_classes_and_field_tuples_are_unequal(self):
+        assert Partition((1,)) != Tableau(((1,),))
+        assert Partition((1,)) != ((1,),)
+        assert Permutation((2, 1)) != Permutation((1, 2))
+        assert Bracketing(2, ((1, 2),)) != Bracketing(3, ((1, 3), (2, 3)))
+
+    def test_rcgraph_exit_word_is_not_a_field(self):
+        listed = enumerate_rcgraphs(zigzag(3))[0]
+        assert listed._word is not None
+        plain = RcGraph(listed.rows)
+        assert plain._word is None
+        assert listed == plain and hash(listed) == hash((listed.rows,))
+        assert repr(listed) == f"RcGraph(rows={listed.rows!r})"
+
+    def test_length_is_cached(self):
+        w = Permutation((3, 1, 2))
+        assert "length" not in w.__dict__
+        assert w.length == 2
+        assert w.__dict__ == {"length": 2}
