@@ -53,6 +53,14 @@ def partition_of(d: RcGraph) -> Partition:
     return Partition(tuple(filter(None, parts)))
 
 
+def _check_staircase(p: Partition, n: int) -> None:
+    """Raise unless p fits inside the staircase of n, and n >= 0."""
+    if not fits_staircase(p, n):
+        raise PartitionBoundsError(f"{p} does not fit inside the staircase of {n}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def rcgraph_of(p: Partition, n: int) -> RcGraph:
     """The filling with partition p, built from the closes of its bracketing.
 
@@ -66,12 +74,7 @@ def rcgraph_of(p: Partition, n: int) -> RcGraph:
     The parts are read from one tuple, (n, p_1, ..., p_{n-1}) padded with
     zeros, whose entry k less entry k+1 counts the closes in row k+1.
     """
-    if not fits_staircase(p, n):
-        raise PartitionBoundsError(
-            f"{p} does not fit inside the staircase of {n}"
-        )
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_staircase(p, n)
     rows = [[True] * (n - k) + [False] for k in range(n + 1)]
     parts = (n,) + p.parts + (0,) * (n + 1 - len(p.parts))
     opens: list[int] = []
@@ -128,12 +131,7 @@ def partition_to_dyck(p: Partition, n: int) -> DyckPath:
     cells below the path and strictly above the diagonal number
     binom(n, 2) - |p|.  Ties rise before stepping right.
     """
-    if not fits_staircase(p, n):
-        raise PartitionBoundsError(
-            f"{p} does not fit inside the staircase of {n}"
-        )
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_staircase(p, n)
     steps: list[str] = []
     h = 0
     for k in range(1, n + 1):

@@ -229,42 +229,23 @@ def q_label_row_check(q: Tableau) -> bool:
     return all({*row} <= {r, r + 1} for r, row in enumerate(q.rows, start=1))
 
 
-def reading_direction_report(n: int) -> dict:
-    """Try both within-row scans on the whole zigzag family of n and report
-    which ones keep the insertion strict with a constant insertion tableau.
+def reading_direction_report(n: int) -> list[str]:
+    """The within-row scans that, over the whole zigzag family of n, keep
+    the insertion strict, insert every filling to one tableau and put every
+    recording label i in row i-1 or i.
 
     This is a diagnostic for the reading-order convention rather than a
     computation; the library's default is the scan this report singles out.
     """
-    report: dict = {}
     family = enumerate_rcgraphs(zigzag(n))
+    usable = []
     for direction in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
-        entry = {
-            "insertion_ok": True,
-            "p_constant": None,
-            "label_row_ok": None,
-            "detail": "",
-        }
-        p_seen = set()
-        labels_ok = True
-        for d in family:
-            try:
-                p, q = eg_insert(eg_word(d, direction))
-            except InsertionError as exc:
-                entry["insertion_ok"] = False
-                entry["detail"] = str(exc)
-                break
-            p_seen.add(p.rows)
-            labels_ok = labels_ok and q_label_row_check(q)
-        if entry["insertion_ok"]:
-            entry["p_constant"] = len(p_seen) <= 1
-            entry["label_row_ok"] = labels_ok
-        report[direction] = entry
-    report["usable"] = [
-        direction
-        for direction in (RIGHT_TO_LEFT, LEFT_TO_RIGHT)
-        if report[direction]["insertion_ok"]
-        and report[direction]["p_constant"]
-        and report[direction]["label_row_ok"]
-    ]
-    return report
+        try:
+            tableaux = [eg_insert(eg_word(d, direction)) for d in family]
+        except InsertionError:
+            continue
+        if len({p for p, _ in tableaux}) <= 1 and all(
+            q_label_row_check(q) for _, q in tableaux
+        ):
+            usable.append(direction)
+    return usable

@@ -212,9 +212,9 @@ def check_eg(max_n: int, family: Family) -> tuple[list[str], str]:
         if len(q_seen) != len(graphs):
             failures.append(f"n={n}: recording tableaux are not distinct")
     # n = 3 is the smallest family where the two scans disagree
-    report = reading_direction_report(3)
-    if report["usable"] != ["right-to-left"]:
-        failures.append(f"reading-direction diagnostic: usable={report['usable']}")
+    usable = reading_direction_report(3)
+    if usable != ["right-to-left"]:
+        failures.append(f"reading-direction diagnostic: usable={usable}")
     return failures, (f"constant insertion tableau and round trips for n<={max_n}; "
                       "right-to-left is the single usable reading direction")
 

@@ -99,34 +99,6 @@ def run(capsys, *argv):
     return code, out, err
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (("enumerate", "--perm", "1,4,3,2"), ENUMERATE_ASCII),
-        (("enumerate", "--perm", "1,4,3,2", "--format", "json"), ENUMERATE_JSON),
-        (("schubert", "--perm", "1,4,3,2", "--oracle"), SCHUBERT_ORACLE),
-        (("specialize", "--perm", "1,4,3,2"), SPECIALIZE),
-        (("biject", "--n", "3", "--to", "partition"), BIJECT_PARTITION),
-        (("verify", "--max-n", "4"), VERIFY_MAX_N_4),
-        (("enumerate", "--perm", "1,2,3"), "...\n..\n.\n"),
-        (("enumerate", "--perm", "1,2,3", "--format", "json"),
-         '{"perm":"1,2,3","count":1,"rcgraphs":[{"m":3,"crosses":[]}]}\n'),
-        (("enumerate", "--perm", "1,3,2", "--legend"), ENUMERATE_LEGEND),
-        (("enumerate", "--perm", "1,3,2", "--legend", "--format", "json"),
-         '{"perm":"1,3,2","count":2,"rcgraphs":['
-         '{"m":3,"crosses":[[1,2]]},{"m":3,"crosses":[[2,1]]}]}\n'),
-    ],
-    ids=["enumerate-ascii", "enumerate-json", "schubert-oracle", "specialize",
-         "biject-partition", "verify-max-n-4", "enumerate-single-ascii",
-         "enumerate-single-json", "enumerate-legend", "enumerate-legend-json"],
-)
-def test_golden_stdout(capsys, argv, expected):
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert out == expected
-    assert err == ""
-
-
 def test_biject_rc_directory_is_refused(capsys, tmp_path):
     code, out, err = run(capsys, "biject", "--n", "3", "--to", "partition",
                          "--rc", str(tmp_path))
@@ -212,9 +184,35 @@ BIJECT_EG = (
 )
 
 
+WORST_PERM = "1,3,2,9,8,7,6,5,4"  # the slowest --perm case: 163,592 fillings
+
+VERIFY_MAX_N_8 = (Path(__file__).parents[1] / "bench" / "golden"
+                  / "verify-max-n-8.stdout").read_text()
+
+
+def assert_stdout(out: str, expected: str) -> None:
+    """expected is the exact stdout, or "sha256:" and the hex digest of it."""
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        (("enumerate", "--perm", "1,4,3,2"), ENUMERATE_ASCII),
+        (("enumerate", "--perm", "1,4,3,2", "--format", "json"), ENUMERATE_JSON),
+        (("schubert", "--perm", "1,4,3,2", "--oracle"), SCHUBERT_ORACLE),
+        (("specialize", "--perm", "1,4,3,2"), SPECIALIZE),
+        (("biject", "--n", "3", "--to", "partition"), BIJECT_PARTITION),
+        (("verify", "--max-n", "4"), VERIFY_MAX_N_4),
+        (("enumerate", "--perm", "1,2,3"), "...\n..\n.\n"),
+        (("enumerate", "--perm", "1,2,3", "--format", "json"),
+         '{"perm":"1,2,3","count":1,"rcgraphs":[{"m":3,"crosses":[]}]}\n'),
+        (("enumerate", "--perm", "1,3,2", "--legend"), ENUMERATE_LEGEND),
+        (("enumerate", "--perm", "1,3,2", "--legend", "--format", "json"),
+         '{"perm":"1,3,2","count":2,"rcgraphs":['
+         '{"m":3,"crosses":[[1,2]]},{"m":3,"crosses":[[2,1]]}]}\n'),
         (("catalan", "--n", "5"), "42\n"),
         (("catalan", "--n", "5", "--q"), CATALAN_Q_5),
         (("multiplicity", "--n", "3"), "5\n"),
@@ -222,14 +220,51 @@ BIJECT_EG = (
         (("biject", "--n", "3", "--to", "dyck"), BIJECT_DYCK),
         (("biject", "--n", "3", "--to", "tree"), BIJECT_TREE),
         (("biject", "--n", "3", "--to", "eg"), BIJECT_EG),
+        # the largest inputs: each command at or near the limit it allows
+        (("verify", "--max-n", "8"), VERIFY_MAX_N_8),
+        (("verify", "--max-n", "10"),
+         "sha256:4a060cbe7979aaf4137fda7cefad91829e728a38fc09f7c5cb2f05a8a90e9d04"),
+        (("biject", "--n", "10", "--to", "eg"),
+         "sha256:10311ac1744cc77b843f8cdfc4fa2dbb2641e1a7095e10f4f6285054b547ade6"),
+        (("biject", "--n", "10", "--to", "partition"),
+         "sha256:e4bd09985fc3b743f970e0908500a8f113144bee241492c8242d6321cdebeecf"),
+        (("biject", "--n", "10", "--to", "tree"),
+         "sha256:0189c2e17a1314f44f4f1d83e9344b273cbfee0d0a0e65801f167c3f244f57b4"),
+        (("biject", "--n", "10", "--to", "dyck"),
+         "sha256:f53c891bd69bd3a131abc99d5f600ab8dc15935915577452d3ced2ecaa4d7eae"),
+        (("enumerate", "--perm", WORST_PERM, "--format", "json"),
+         "sha256:5b32270ddbae5554bbd7b3af55875408ce01860b3683e7f9d440233f7785f24d"),
+        (("schubert", "--perm", WORST_PERM),
+         "sha256:621e33fa58f2314d3cc580ec73f20cd5045a8261dd3862a988c9b32844f18387"),
+        (("schubert", "--perm", WORST_PERM, "--oracle"),
+         "sha256:044514703879e18580f774d20b7186a093d945d1004c4839d3b1bacdf1445638"),
+        (("specialize", "--perm", WORST_PERM),
+         "sha256:9f3880bf9988196a0fe7464e2017604826316ceda0f257c3ae67322146869afa"),
+        (("specialize", "--perm", WORST_PERM, "--at-one"), "163592\n"),
+        (("catalan", "--n", "60", "--q"),
+         "sha256:62abb3e6cbc0f377d66643125757ccf5e15c601ec005e035b068ff703cd47e96"),
+        (("catalan", "--n", "80", "--q"),
+         "sha256:b473fe77840baea2aa6b62c51eb2165efe56f2b787322c81dc11bbe1fd2c27ab"),
+        (("multiplicity", "--n", "12"), "208012\n"),
+        (("multiplicity", "--n", "17"), "129644790\n"),
     ],
-    ids=["catalan", "catalan-q", "multiplicity", "specialize-at-one", "biject-dyck",
-         "biject-tree", "biject-eg"],
+    ids=["enumerate-ascii", "enumerate-json", "schubert-oracle", "specialize",
+         "biject-partition", "verify-max-n-4", "enumerate-single-ascii",
+         "enumerate-single-json", "enumerate-legend", "enumerate-legend-json",
+         "catalan", "catalan-q", "multiplicity", "specialize-at-one", "biject-dyck",
+         "biject-tree", "biject-eg",
+         "verify-max-n-8", "verify-at-the-limit", "biject-eg-at-the-limit",
+         "biject-partition-at-the-limit", "biject-tree-at-the-limit",
+         "biject-dyck-at-the-limit", "enumerate-json-worst-perm",
+         "schubert-worst-perm", "schubert-oracle-worst-perm",
+         "specialize-worst-perm", "specialize-at-one-worst-perm",
+         "catalan-q-n-60", "catalan-q-at-the-limit", "multiplicity-n-12",
+         "multiplicity-at-the-limit"],
 )
-def test_golden_stdout_more_commands(capsys, argv, expected):
+def test_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0
-    assert out == expected
+    assert_stdout(out, expected)
     assert err == ""
 
 
@@ -246,20 +281,7 @@ def test_golden_stdout_more_commands(capsys, argv, expected):
         (("biject", "--n", "0", "--to", "tree"), "error: --n must be positive\n"),
         (("verify", "--max-n", "0"), "error: --max-n must be positive\n"),
         (("multiplicity", "--n", "0"), "error: --n must be positive\n"),
-    ],
-    ids=["perm-repeated-entry", "perm-not-a-number", "catalan-negative",
-         "via-is-gone", "biject-n-zero", "verify-max-n-zero",
-         "multiplicity-n-zero"],
-)
-def test_bad_input_exits_1_with_message(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == message
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
+        # oversized input is refused up front
         (("enumerate", "--perm", "1,2,3,4,5,6,7,8,10,9"),
          "error: --perm of size 10 exceeds the limit of 9\n"),
         (("schubert", "--perm", "10,9,8,7,6,5,4,3,2,1", "--oracle"),
@@ -276,11 +298,14 @@ def test_bad_input_exits_1_with_message(capsys, argv, message):
         (("multiplicity", "--n", "18"), "error: --n 18 exceeds the limit of 17\n"),
         (("verify", "--max-n", "11"), "error: --max-n 11 exceeds the limit of 10\n"),
     ],
-    ids=["enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
+    ids=["perm-repeated-entry", "perm-not-a-number", "catalan-negative",
+         "via-is-gone", "biject-n-zero", "verify-max-n-zero",
+         "multiplicity-n-zero",
+         "enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
          "catalan-q-n", "biject-n", "biject-rc-n",
          "multiplicity-n", "verify-max-n"],
 )
-def test_oversized_input_is_refused_up_front(capsys, argv, message):
+def test_bad_input_exits_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == message
@@ -357,14 +382,6 @@ def test_biject_rc_tree_at_the_limit(capsys, tmp_path):
     )
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1c1c2e83035c817a091ae80d601146e967bca940a3c88f7756c84a45f8e0b393"
-    )
-
-
-def test_q_catalan_at_the_limit(capsys):
-    code, out, err = run(capsys, "catalan", "--n", "80", "--q")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b473fe77840baea2aa6b62c51eb2165efe56f2b787322c81dc11bbe1fd2c27ab"
     )
 
 

@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from pipedreams import eg
 from pipedreams.bijections import partition_of
 from pipedreams.catalan import Partition, staircase
 from pipedreams.eg import (
@@ -227,12 +228,21 @@ class TestEgPartition:
 
 class TestReadingDirection:
     def test_right_to_left_is_the_usable_direction(self):
-        report = reading_direction_report(3)
-        assert report["usable"] == [RIGHT_TO_LEFT]
-        assert report[RIGHT_TO_LEFT]["insertion_ok"]
-        assert report[RIGHT_TO_LEFT]["p_constant"]
-        assert report[RIGHT_TO_LEFT]["label_row_ok"]
-        assert not report[LEFT_TO_RIGHT]["insertion_ok"]
+        assert reading_direction_report(3) == [RIGHT_TO_LEFT]
+        with pytest.raises(InsertionError):
+            for d in enumerate_rcgraphs(zigzag(3)):
+                eg_insert(eg_word(d, LEFT_TO_RIGHT))
+
+    def test_report_lists_the_family_once(self, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return enumerate_rcgraphs(w)
+
+        monkeypatch.setattr(eg, "enumerate_rcgraphs", counting)
+        assert reading_direction_report(3) == [RIGHT_TO_LEFT]
+        assert calls == [zigzag(3)]
 
     def test_observed_recording_columns_weakly_increase(self):
         # recorded behaviour of the pre-transposition recording tableau
