@@ -24,7 +24,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
       in process)
-  verify --max-n  10, 3.2-3.6 s and 39 MB (9 takes 0.9-1.1 s and 21 MB)
+  verify --max-n  10, 5.3-6.9 s and 28 MB, timed while the host ran at
+      about half its usual speed (9 takes 1.4-1.6 s and 19.5 MB)
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ recording tableau alone.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, repeat, zip_longest
+from itertools import zip_longest
 from operator import lt
 
 from .catalan import Partition
@@ -92,19 +92,18 @@ def _strict(seq) -> bool:
 
 
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
-    """The two-row word of a filling: pairs (i, i + j) over the crosses,
-    rows top to bottom, each row scanned in the given direction.  A row's
-    letters are its alphas i + 1 .. i + len(row) compressed by its cells."""
+    """The two-row word of a filling: pairs (i, i + j) over the crosses
+    (i, j), rows top to bottom, each row's cross columns j scanned in the
+    given direction."""
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown reading direction {direction!r}")
     backwards = direction == RIGHT_TO_LEFT
-    pairs: list[tuple[int, int]] = []
-    for i, row in enumerate(d.rows, start=1):
-        alphas = range(i + 1, i + 1 + len(row))
-        if backwards:
-            alphas, row = reversed(alphas), reversed(row)
-        pairs += zip(repeat(i), compress(alphas, row))
-    return tuple(pairs)
+    return tuple(
+        (i, i + j)
+        for i, row in enumerate(d.rows, start=1)
+        for j in (range(len(row), 0, -1) if backwards else range(1, len(row) + 1))
+        if row[j - 1]
+    )
 
 
 def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:

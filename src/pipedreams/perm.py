@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
@@ -53,7 +52,7 @@ class Permutation(Value):
     are safe to share freely and to use as dictionary keys.
     """
 
-    __slots__ = ("word", "__dict__")  # the __dict__ caches length
+    __slots__ = ("word", "_length")  # _length is set on the first read
 
     def __init__(self, word: tuple[int, ...]) -> None:
         object.__setattr__(self, "word", word)
@@ -73,12 +72,18 @@ class Permutation(Value):
         """Image of i, 1-indexed."""
         return self.word[i - 1]
 
-    @cached_property
+    @property
     def length(self) -> int:
-        """Inversion count #{(i, j) : i < j, w(i) > w(j)}."""
+        """Inversion count #{(i, j) : i < j, w(i) > w(j)}, counted once."""
+        try:
+            return self._length
+        except AttributeError:
+            pass
         w = self.word
         n = len(w)
-        return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        length = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        object.__setattr__(self, "_length", length)
+        return length
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.word)

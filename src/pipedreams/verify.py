@@ -5,17 +5,16 @@ exact (no tolerances), and each returns its list of failures together with
 the short human-readable detail line reported when that list is empty.
 ``run_checks`` turns these into CheckResults; a check that raises is
 reported as a failure naming the exception, and the run carries on.  The
-checks that walk the zigzag families take them from ``family``, and [5]
-and [5d] take the staircase partitions from ``partitions``; ``run_checks``
-memoises both, so each family and each partition list is built once per
-run.
+checks that walk the zigzag families are generators: for each n in turn,
+``run_checks`` lists the zigzag family of n and the staircase partitions
+of n once, sends both to every such check, and lets them go before n + 1,
+so no family outlives the next one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
-from functools import cache
+from collections.abc import Generator
 from itertools import permutations as all_words
 from math import comb
 from typing import NamedTuple
@@ -58,8 +57,13 @@ from .rcgraph import RcGraph, enumerate_rcgraphs, split, turn_row_shift
 
 SUITES = ("prop1", "bijections", "eg", "transpose", "all")
 
-Family = Callable[[int], list[RcGraph]]
-Partitions = Callable[[int], list[Partition]]
+# the listings a family check takes, as bits of its plan row; each n, every
+# running family check is sent (graphs, partitions), with None in place of
+# a listing that no running check takes
+FAMILY, PARTITIONS = 1, 2
+
+Outcome = tuple[list[str], str]
+Fed = Generator[None, tuple[list[RcGraph], list[Partition]], Outcome]
 
 
 class CheckResult(NamedTuple):
@@ -96,14 +100,14 @@ def check_specialization(max_n: int) -> tuple[list[str], str]:
     return failures, f"exact for n=1..{max_n}"
 
 
-def check_counting(max_n: int, family: Family) -> tuple[list[str], str]:
+def check_counting(max_n: int) -> Fed:
     """The zigzag of n has exactly catalan(n) fillings, and each traces it:
     one sweep each confirms the word the listing carries unswept, which is
     the zigzag's own, since it is an involution."""
     failures = []
     counts = []
     for n in range(1, max_n + 1):
-        graphs = family(n)
+        graphs, _ = yield
         got = len(graphs)
         counts.append(got)
         if got != catalan(n):
@@ -132,28 +136,27 @@ def check_oracle(max_n: int) -> tuple[list[str], str]:
     return failures, f"all of S_4 and zigzag n<={zig_max}"
 
 
-def check_partition_bijection(max_n: int, family: Family,
-                              partitions: Partitions) -> tuple[list[str], str]:
+def check_partition_bijection(max_n: int) -> Fed:
     """partition_of is a bijection onto the staircase partitions, with
     rcgraph_of as inverse and the weight law binom(n+1,3) - |p|."""
     failures = []
     for n in range(1, max_n + 1):
-        seen = {}
+        graphs, targets = yield
+        seen = set()
         inverted = set()
-        for d in family(n):
+        for d in graphs:
             p = partition_of(d)
             if not fits_staircase(p, n):
                 failures.append(f"n={n}: {p} outside the staircase")
             if p in seen:
                 failures.append(f"n={n}: {p} hit twice")
-            seen[p] = d
+            seen.add(p)
             if d.weight() != comb(n + 1, 3) - p.size:
                 failures.append(f"n={n}: weight law fails for {p}")
             if rcgraph_of(p, n) != d:
                 failures.append(f"n={n}: rcgraph_of does not invert at {p}")
             else:
                 inverted.add(p)
-        targets = partitions(n)
         if sorted(seen, key=lambda q: q.parts) != targets:
             failures.append(f"n={n}: image is not all of the staircase set")
         # rcgraph_of(p) == d with partition_of(d) == p is a round trip
@@ -163,11 +166,12 @@ def check_partition_bijection(max_n: int, family: Family,
     return failures, f"bijective with inverse and weight law for n<={max_n}"
 
 
-def check_dyck_transport(max_n: int, partitions: Partitions) -> tuple[list[str], str]:
+def check_dyck_transport(max_n: int) -> Fed:
     """Dyck path coding round-trips and carries the area statistic."""
     failures = []
     for n in range(1, max_n + 1):
-        for p in partitions(n):
+        _, partitions = yield
+        for p in partitions:
             path = partition_to_dyck(p, n)
             if dyck_to_partition(path) != p:
                 failures.append(f"n={n}: path round trip fails at {p}")
@@ -184,19 +188,23 @@ def check_dyck_transport(max_n: int, partitions: Partitions) -> tuple[list[str],
     return failures, f"round trips and area transport for n<={max_n}"
 
 
-def check_eg(max_n: int, family: Family) -> tuple[list[str], str]:
+def check_eg(max_n: int) -> Fed:
     """Insertion-tableau constancy, recording-label rows, agreement with the
-    elementary bijection, and the evacuation round trip up to n = 5."""
+    elementary bijection, and the evacuation round trip up to n = 5.
+
+    A recording tableau is kept as the bytes of its rows joined by zeros,
+    an injective key because its labels are row indices in 1..n, below 256
+    for every n the command line allows."""
     failures = []
     for n in range(1, max_n + 1):
-        graphs = family(n)
+        graphs, _ = yield
         p_seen = set()
         q_seen = set()
         for d in graphs:
             word = eg_word(d)
             p, q = eg_insert(word)
             p_seen.add(p.rows)
-            q_seen.add(q.rows)
+            q_seen.add(b"\0".join(map(bytes, q.rows)))
             if not q_label_row_check(q):
                 failures.append(f"n={n}: label-row property fails")
             if _recording_partition(q) != partition_of(d):
@@ -219,21 +227,23 @@ def check_eg(max_n: int, family: Family) -> tuple[list[str], str]:
                       "right-to-left is the single usable reading direction")
 
 
-def check_transpose(max_n: int, family: Family) -> tuple[list[str], str]:
+def check_transpose(max_n: int) -> Fed:
     """Transposing a filling reverses its bracketing."""
     failures = []
     for n in range(1, max_n + 1):
-        for d in family(n):
+        graphs, _ = yield
+        for d in graphs:
             if bracketing_of(d.transpose()) != reverse_bracketing(bracketing_of(d)):
                 failures.append(f"n={n}: transpose is not string reversal")
     return failures, f"checked every filling for n<={max_n}"
 
 
-def check_split(max_n: int, family: Family) -> tuple[list[str], str]:
+def check_split(max_n: int) -> Fed:
     """The turn-row decomposition satisfies the exact weight identity."""
     failures = []
     for n in range(1, max_n + 1):
-        for d in family(n):
+        graphs, _ = yield
+        for d in graphs:
             k, south, north = split(d)
             if d.weight() != north.weight() + south.weight() + turn_row_shift(n, k):
                 failures.append(f"n={n}: weight identity fails at k={k}")
@@ -268,40 +278,83 @@ def check_q_catalan(max_n: int) -> tuple[list[str], str]:
 
 def run_checks(suite: str = "all", max_n: int = 6) -> list[CheckResult]:
     """Run the requested suite; every check runs up to max_n, within the
-    bounds its docstring states."""
+    bounds its docstring states.  The family checks advance together, one
+    n at a time, and the results keep the order of the plan."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    family = cache(lambda n: enumerate_rcgraphs(zigzag(n)))
-    partitions = cache(enumerate_staircase_partitions)
     plan = [
-        ("1", "five fillings of 1,4,3,2", "prop1", check_figure_family, ()),
+        ("1", "five fillings of 1,4,3,2", "prop1", check_figure_family, (), 0),
         ("2", "q-Catalan specialization identity", "prop1",
-         check_specialization, (max_n,)),
+         check_specialization, (max_n,), 0),
         ("3", "Catalan counting of zigzag fillings", "prop1",
-         check_counting, (max_n, family)),
+         check_counting, (max_n,), FAMILY),
         ("4", "divided-difference oracle equivalence", "prop1",
-         check_oracle, (max_n,)),
+         check_oracle, (max_n,), 0),
         ("5", "elementary partition bijection", "bijections",
-         check_partition_bijection, (max_n, family, partitions)),
+         check_partition_bijection, (max_n,), FAMILY | PARTITIONS),
         ("5d", "Dyck path coding", "bijections",
-         check_dyck_transport, (max_n, partitions)),
+         check_dyck_transport, (max_n,), PARTITIONS),
         ("6", "Edelman-Greene correspondence", "eg",
-         check_eg, (max_n, family)),
+         check_eg, (max_n,), FAMILY),
         ("7", "transposition reverses bracketings", "transpose",
-         check_transpose, (max_n, family)),
-        ("8", "split weight identity", "prop1", check_split, (max_n, family)),
-        ("9", "Catalan multiplicity", "prop1", check_multiplicity, (max_n,)),
+         check_transpose, (max_n,), FAMILY),
+        ("8", "split weight identity", "prop1", check_split, (max_n,), FAMILY),
+        ("9", "Catalan multiplicity", "prop1", check_multiplicity, (max_n,), 0),
         ("10", "q-Catalan cross-method", "prop1",
-         check_q_catalan, (max_n,)),
+         check_q_catalan, (max_n,), 0),
     ]
-    results = []
-    for ident, name, check_suite, check, args in plan:
-        if suite not in ("all", check_suite):
-            continue
-        try:
-            failures, detail = check(*args)
-        except Exception as exc:
-            failures, detail = [f"raised {type(exc).__name__}: {exc}"], ""
-        results.append(CheckResult(ident, name, check_suite, not failures,
-                                   "; ".join(failures) or detail))
-    return results
+    plan = [row for row in plan if suite in ("all", row[2])]
+    outcomes: dict[str, Outcome | None] = {}
+    running = {}
+    for ident, _, _, check, args, takes in plan:
+        run = _checked(check, args, takes)
+        outcomes[ident] = _advance(run.send, None)
+        if outcomes[ident] is None:
+            running[ident] = run, takes
+    listers = ((FAMILY, lambda n: enumerate_rcgraphs(zigzag(n))),
+               (PARTITIONS, enumerate_staircase_partitions))
+    for n in range(1, max_n + 1):
+        wanted = 0
+        for _, takes in running.values():
+            wanted |= takes
+        listed = {bit: _listed(make, n) for bit, make in listers if wanted & bit}
+        feed = listed.get(FAMILY), listed.get(PARTITIONS)
+        for ident, (run, takes) in list(running.items()):
+            broken = [x for bit, x in listed.items()
+                      if takes & bit and isinstance(x, Exception)]
+            outcomes[ident] = (_advance(run.throw, broken[0]) if broken
+                               else _advance(run.send, feed))
+            if outcomes[ident] is not None:
+                del running[ident]
+    return [CheckResult(ident, name, check_suite, not outcomes[ident][0],
+                        "; ".join(outcomes[ident][0]) or outcomes[ident][1])
+            for ident, name, check_suite, *_ in plan]
+
+
+def _checked(check, args: tuple, takes: int) -> Fed:
+    """A check as a generator: a family check (``takes`` nonzero) is
+    delegated to, and any other runs whole when first advanced, so that a
+    call which raises is caught where every other raise is."""
+    if takes:
+        return (yield from check(*args))
+    return check(*args)
+
+
+def _advance(step, arg) -> Outcome | None:
+    """Advance a check by ``step(arg)``: None while it waits for the next n,
+    else its (failures, detail), where a raise is a failure naming it."""
+    try:
+        step(arg)
+    except StopIteration as stop:
+        return stop.value
+    except Exception as exc:
+        return [f"raised {type(exc).__name__}: {exc}"], ""
+    return None
+
+
+def _listed(make, n: int):
+    """make(n), or the exception it raised, thrown into each check taking it."""
+    try:
+        return make(n)
+    except Exception as exc:
+        return exc

@@ -261,6 +261,9 @@ class TestValueClasses:
 
     def test_length_is_cached(self):
         w = Permutation((3, 1, 2))
-        assert "length" not in w.__dict__
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(AttributeError):
+            w._length
         assert w.length == 2
-        assert w.__dict__ == {"length": 2}
+        assert w._length == 2
+        assert repr(w) == "Permutation(word=(3, 1, 2))"

@@ -1,10 +1,12 @@
+import weakref
+
 import pytest
 
 from pipedreams import rcgraph, verify
 from pipedreams.bijections import Bracketing
 from pipedreams.catalan import Partition, enumerate_staircase_partitions
 from pipedreams.cli import main
-from pipedreams.eg import InsertionError
+from pipedreams.eg import InsertionError, eg_word
 from pipedreams.perm import zigzag
 from pipedreams.rcgraph import NotReducedError, bottom_rcgraph, enumerate_rcgraphs
 
@@ -87,6 +89,75 @@ def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
     assert partition_calls == [1, 2, 3, 4]
 
 
+class Listed(list):
+    """A family that a weak reference can follow."""
+
+
+def test_one_zigzag_family_is_alive_at_a_time(monkeypatch):
+    alive = []
+    held = []
+
+    def tracked(w):
+        n = w.size - 1
+        held.extend((n, m) for m, ref in alive if m < n - 1 and ref() is not None)
+        graphs = Listed(enumerate_rcgraphs(w))
+        alive.append((n, weakref.ref(graphs)))
+        return graphs
+
+    monkeypatch.setattr(verify, "enumerate_rcgraphs", tracked)
+    assert all(r.passed for r in verify.run_checks("all", 6))
+    # 1,4,3,2 (the zigzag of 3) for check [1], then the zigzags of 1..6
+    assert [n for n, _ in alive] == [3, 1, 2, 3, 4, 5, 6]
+    assert held == []
+
+
+# (ident, suite, detail) of every check at max_n = 0, where no family is fed
+DETAILS_AT_0 = [
+    ("1", "prop1", "5 fillings with the expected monomials"),
+    ("2", "prop1", "exact for n=1..0"),
+    ("3", "prop1", "counts [] for n=1..0"),
+    ("4", "prop1", "all of S_4 and zigzag n<=0"),
+    ("5", "bijections", "bijective with inverse and weight law for n<=0"),
+    ("5d", "bijections", "round trips and area transport for n<=0"),
+    ("6", "eg", "constant insertion tableau and round trips for n<=0; "
+     "right-to-left is the single usable reading direction"),
+    ("7", "transpose", "checked every filling for n<=0"),
+    ("8", "prop1", "exact for every filling with n<=0"),
+    ("9", "prop1", "equals catalan(n) for n<=0"),
+    ("10", "prop1", "routes agree for n<=10, q=1 values for n<=12"),
+]
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_every_check_passes_with_no_family_to_walk(suite):
+    results = verify.run_checks(suite, 0)
+    assert all(r.passed for r in results)
+    assert [(r.ident, r.suite, r.detail) for r in results] == [
+        row for row in DETAILS_AT_0 if suite in ("all", row[1])
+    ]
+
+
+def raise_at(n, real):
+    def listing(arg):
+        if arg in (n, zigzag(n)):
+            raise ValueError(f"no listing at n={n}")
+        return real(arg)
+    return listing
+
+
+@pytest.mark.parametrize("name, n, failed", [
+    ("enumerate_rcgraphs", 2, ["3", "5", "6", "7", "8"]),
+    ("enumerate_staircase_partitions", 3, ["5", "5d"]),
+])
+def test_a_raising_listing_fails_only_the_checks_fed_it(monkeypatch, name, n, failed):
+    monkeypatch.setattr(verify, name, raise_at(n, getattr(verify, name)))
+    results = verify.run_checks("all", 4)
+    assert [r.ident for r in results if not r.passed] == failed
+    assert {r.detail for r in results if not r.passed} == {
+        f"raised ValueError: no listing at n={n}"
+    }
+
+
 def test_each_grid_sweeps_its_strands_once_per_run(monkeypatch):
     real = rcgraph._trace
     traced = []
@@ -165,3 +236,36 @@ def test_check_6_catches_a_corrupt_partition_of(monkeypatch):
     (result,) = verify.run_checks("eg", 4)
     assert not result.passed
     assert result.detail == "n=4: insertion and elementary bijections differ"
+
+
+def test_check_5_catches_a_partition_hit_twice(monkeypatch):
+    real = verify.partition_of
+    first, second = enumerate_rcgraphs(zigzag(3))[:2]
+
+    def corrupt(d):
+        return real(first if d == second else d)
+
+    monkeypatch.setattr(verify, "partition_of", corrupt)
+    result = verify.run_checks("bijections", 4)[0]
+    assert (result.ident, result.passed) == ("5", False)
+    assert result.detail == (
+        "n=3: [2,1] hit twice; n=3: weight law fails for [2,1]; "
+        "n=3: rcgraph_of does not invert at [2,1]; "
+        "n=3: image is not all of the staircase set; n=3: round trip fails at [2]"
+    )
+
+
+def test_check_6_catches_a_shared_recording_tableau(monkeypatch):
+    real = verify.eg_insert
+    first, second = map(eg_word, enumerate_rcgraphs(zigzag(6))[:2])
+
+    def corrupt(word):
+        return real(first if word == second else word)
+
+    monkeypatch.setattr(verify, "eg_insert", corrupt)
+    (result,) = verify.run_checks("eg", 6)
+    assert not result.passed
+    assert result.detail == (
+        "n=6: insertion and elementary bijections differ; "
+        "n=6: recording tableaux are not distinct"
+    )
