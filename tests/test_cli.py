@@ -412,14 +412,14 @@ def test_closed_stdout_exits_1_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(pipedreams.__file__).parents[1]))
     for argv in (["enumerate", "--perm", "1,9,8,7,6,5,4,3,2", "--format", "json"],
                  ["biject", "--n", "8", "--to", "eg"]):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "pipedreams.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 1, argv
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1, argv
         assert "Traceback" not in err
         assert "Exception ignored" not in err
 

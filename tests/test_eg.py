@@ -401,7 +401,9 @@ def ref_recording_partition(q_rows):
 
 
 def ref_eg_word(d, direction=RIGHT_TO_LEFT):
-    """The cell-by-cell eg_word that the per-row ``compress`` replaced."""
+    """An independent eg_word: each row's cross columns are collected and
+    reversed for the right-to-left scan, where eg_word walks the columns of
+    every row in the scan's order."""
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown reading direction {direction!r}")
     pairs = []

@@ -7,7 +7,7 @@ from pipedreams.bijections import Bracketing
 from pipedreams.catalan import Partition, enumerate_staircase_partitions
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError, eg_word
-from pipedreams.perm import zigzag
+from pipedreams.perm import make_perm, zigzag
 from pipedreams.rcgraph import NotReducedError, bottom_rcgraph, enumerate_rcgraphs
 
 
@@ -82,11 +82,17 @@ def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
     partition_calls = []
     monkeypatch.setattr(verify, "enumerate_rcgraphs", counted)
     monkeypatch.setattr(verify, "enumerate_staircase_partitions", counted_partitions)
-    assert all(r.passed for r in verify.run_checks("all", 4))
-    # 1,4,3,2 for check [1], then the zigzags of 1..4 once each
-    assert len(calls) == 5
-    # the staircase partitions of 1..4 once each, shared by [5] and [5d]
-    assert partition_calls == [1, 2, 3, 4]
+    for suite in verify.SUITES:
+        calls.clear()
+        partition_calls.clear()
+        assert all(r.passed for r in verify.run_checks(suite, 4))
+        # 1,4,3,2 for check [1], then the zigzags of 1..4 once each
+        figure = [make_perm((1, 4, 3, 2))] if suite in ("all", "prop1") else []
+        assert calls == figure + [zigzag(n) for n in range(1, 5)], suite
+        # the staircase partitions of 1..4 once each, shared by [5] and [5d],
+        # and none where neither runs
+        listed = [1, 2, 3, 4] if suite in ("all", "bijections") else []
+        assert partition_calls == listed, suite
 
 
 class Listed(list):
@@ -269,3 +275,38 @@ def test_check_6_catches_a_shared_recording_tableau(monkeypatch):
         "n=6: insertion and elementary bijections differ; "
         "n=6: recording tableaux are not distinct"
     )
+
+
+BOTH_DIRECTIONS = ["right-to-left", "left-to-right"]
+
+
+def test_check_6_lists_its_reading_direction_diagnostic_last(monkeypatch):
+    real = verify.partition_of
+    target = enumerate_rcgraphs(zigzag(4))[5]
+
+    def corrupt(d):
+        if d == target:
+            return Partition((9,))
+        return real(d)
+
+    reports = []
+
+    def report(n):
+        reports.append(n)
+        return BOTH_DIRECTIONS
+
+    monkeypatch.setattr(verify, "reading_direction_report", report)
+    monkeypatch.setattr(verify, "partition_of", corrupt)
+    (result,) = verify.run_checks("eg", 4)
+    assert not result.passed
+    assert result.detail == (
+        "n=4: insertion and elementary bijections differ; "
+        "reading-direction diagnostic: usable=['right-to-left', 'left-to-right']"
+    )
+    assert reports == [3]
+    # the diagnostic runs once per run, also where no family is walked
+    (result,) = verify.run_checks("eg", 0)
+    assert (result.passed, result.detail) == (
+        False, "reading-direction diagnostic: usable=['right-to-left', 'left-to-right']"
+    )
+    assert reports == [3, 3]
