@@ -24,8 +24,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 6.1-7.0 s and 154 MB (18 takes 14.8 s and 246 MB
       in process)
-  verify --max-n  10, 5.3-6.9 s and 28 MB, timed while the host ran at
-      about half its usual speed (9 takes 1.4-1.6 s and 19.5 MB)
+  verify --max-n  10, 4.5-6.7 s and 25 MB over seven runs, the slowest
+      while the host ran slow (9 takes 1.1-1.8 s and 18.6 MB)
 """
 
 from __future__ import annotations

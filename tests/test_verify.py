@@ -4,7 +4,7 @@ import pytest
 
 from pipedreams import rcgraph, verify
 from pipedreams.bijections import Bracketing
-from pipedreams.catalan import Partition, enumerate_staircase_partitions
+from pipedreams.catalan import Partition, catalan, enumerate_staircase_partitions
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError, eg_word
 from pipedreams.perm import make_perm, zigzag
@@ -93,6 +93,28 @@ def test_each_zigzag_family_is_enumerated_once_per_run(monkeypatch):
         # and none where neither runs
         listed = [1, 2, 3, 4] if suite in ("all", "bijections") else []
         assert partition_calls == listed, suite
+
+
+# the family checks in plan order, each a function of one n
+FAMILY_CHECKS = ["check_counting", "check_partition_bijection", "check_dyck_transport",
+                 "check_eg", "check_transpose", "check_split"]
+
+
+def test_each_family_check_is_called_once_per_n_with_its_listing(monkeypatch):
+    calls = []
+
+    def wrapped(name, real):
+        def check(n, graphs, partitions):
+            listing = partitions if name == "check_dyck_transport" else graphs
+            calls.append((n, name, len(listing)))
+            return real(n, graphs, partitions)
+        return check
+
+    for name in FAMILY_CHECKS:
+        monkeypatch.setattr(verify, name, wrapped(name, getattr(verify, name)))
+    assert all(r.passed for r in verify.run_checks("all", 4))
+    # n by n, C_n fillings each, or C_n partitions for [5d]
+    assert calls == [(n, name, catalan(n)) for n in range(1, 5) for name in FAMILY_CHECKS]
 
 
 class Listed(list):
