@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import comb
 
 from .perm import Value
-from .poly import QPolynomial
+from .poly import QPolynomial, _unpack
 
 
 class Partition(Value):
@@ -104,19 +104,20 @@ def q_catalan_via_partitions(n: int) -> QPolynomial:
     Only level k + 1 is kept while level k is built, and no partition is
     built.  The largest size is |staircase(n)| = binom(n, 2), so the reversed
     histogram is the coefficient list.
+
+    Each histogram is one packed int, width bits per size.  No field
+    carries: prefixing n-1, ..., n-k+1 to a tail from part k gives a
+    distinct staircase partition, so each count is at most catalan(n).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    level = [[1]]
+    width = catalan(n).bit_length()
+    level = [1]
     for k in range(n - 1, 0, -1):
-        below, level = level, [[1]]
+        below, level = level, [1]
         for b in range(1, n - k + 1):
-            tail = below[min(b, n - k - 1)]
-            hist = level[-1] + [0] * (b + len(tail) - len(level[-1]))
-            for s, x in enumerate(tail, b):
-                hist[s] += x
-            level.append(hist)
-    return QPolynomial(reversed(level[-1]))
+            level.append(level[-1] + (below[min(b, n - k - 1)] << width * b))
+    return QPolynomial(reversed(_unpack(level[-1], width)))
 
 
 def enumerate_staircase_partitions(n: int) -> list[Partition]:

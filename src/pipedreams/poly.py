@@ -31,6 +31,7 @@ reads, so a width of that exponent's bit length is enough.
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import Iterable, Mapping
 
 from .perm import Permutation
@@ -318,22 +319,22 @@ def schubert_specialization(w: Permutation) -> QPolynomial:
     """The principal specialisation of the Schubert polynomial of w,
     x_i -> q^(i-1), without listing the fillings.
 
-    ``fold_rcgraphs`` folds a coefficient list per state: a row r with c
-    crosses contributes q^((r-1)c), so its edge shifts the list of the
-    state below by (r-1)c places.  Equal to
-    ``schubert_polynomial(w).principal_specialization()``.
+    ``fold_rcgraphs`` sums one packed int per state, the coefficient of q^k
+    in bits width*k up to width*(k+1): a row r with c crosses contributes
+    q^((r-1)c), so its edge shifts the state below by (r-1)c fields.
+    Equal to ``schubert_polynomial(w).principal_specialization()``.
+
+    No carry reaches w^-1.  Fix a path of rows from a state that reaches
+    w^-1 to the top: each partial filling of degree k below the state
+    extends along it to a distinct filling of w, so its coefficient of q^k
+    is at most the count, at most comb(m(m-1)/2, l(w)), the placings of
+    l(w) crosses above the anti-diagonal.  A state that does not reach
+    w^-1 may carry, but no state above it reaches w^-1 either.
     """
-
-    def combine(r: int, parts: list[tuple[tuple[bool, ...], list[int]]]) -> list[int]:
-        out: list[int] = []
-        for cells, coeffs in parts:
-            shift = (r - 1) * sum(cells)
-            out.extend([0] * (shift + len(coeffs) - len(out)))
-            for k, x in enumerate(coeffs, shift):
-                out[k] += x
-        return out
-
-    return QPolynomial(fold_rcgraphs(w, [1], combine))
+    m = w.size
+    width = comb(m * (m - 1) // 2, w.length).bit_length()
+    return QPolynomial(_unpack(fold_rcgraphs(
+        w, 1, lambda r, cells, x: x << width * (r - 1) * sum(cells)), width))
 
 
 def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:

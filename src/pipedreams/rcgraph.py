@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterable, TypeVar
 
 from .perm import Permutation, Value, zigzag
@@ -310,25 +309,17 @@ def bottom_rcgraph(n: int) -> RcGraph:
 
 
 def fold_rcgraphs(w: Permutation, leaf: T,
-                  combine: Callable[[int, list[tuple[tuple[bool, ...], T]]], T]) -> T:
+                  extend: Callable[[int, tuple[bool, ...], T], T]) -> T:
     """Fold a weight over the pipe dreams for w, in one pass up the rows.
 
     A state is the tuple of strands crossing a row boundary, column by
     column; the empty state below row m weighs ``leaf``.  For each state
     below row r, the pass extends the row's partial fillings one column at
-    a time, groups the finished ones by the state leaving the top, and
-    weighs each such state once as combine(r, parts), where parts holds
-    (cells, weight of the state below) for each filling of the row that
-    leads to it, cells being the row's filling.  Only the weights of the
-    boundary below are kept, and each state is weighed once, however many
-    fillings pass through it.  ``combine`` must not mutate the weights it
-    is given, which other states share.
-
-    Parts are sorted True first, so the fillings come in canonical order,
-    ``RcGraph.sort_key``, the row-major list of crosses: every filling of
-    w has l(w) crosses, so two of them first differ at a cell where exactly
-    one has a cross, and that one sorts first.  A state and a row's cells
-    determine the state below, so no two parts of a state tie.
+    a time, and each finished filling adds extend(r, cells, weight below)
+    into the weight of the state leaving the top with ``+=``: a path sum by
+    transfer matrices (Stanley, EC1, 4.7), which keeps only the weights of
+    the boundary below.  The first edge into a state is stored as
+    ``extend`` returns it, so a mutable weight it returns must be new.
 
     A cross is placed only on a pair that has not crossed yet and whose
     targets are inverted in w.  No set of crossed pairs is kept: along the
@@ -352,7 +343,7 @@ def fold_rcgraphs(w: Permutation, leaf: T,
     wv = (0,) + w.word
     weights: dict[tuple[int, ...], T] = {(): leaf}
     for r in range(m, 0, -1):
-        parts: dict[tuple[int, ...], list[tuple[tuple[bool, ...], T]]] = {}
+        above: dict[tuple[int, ...], T] = {}
         for below, weight in weights.items():
             fillings = [(r, (), ())]  # (traveler, top so far, cells so far)
             for j, b in enumerate(below, start=1):
@@ -368,33 +359,39 @@ def fold_rcgraphs(w: Permutation, leaf: T,
             # forced anti-diagonal elbow: the traveler exits at column m + 1 - r
             for traveler, top, cells in fillings:
                 if wv[traveler] >= m + 1 - r:
-                    parts.setdefault(top + (traveler,), []).append(
-                        (cells + (False,), weight))
-        weights = {top: combine(r, sorted(p, key=itemgetter(0), reverse=True))
-                   for top, p in parts.items()}
+                    top += (traveler,)
+                    x = extend(r, cells + (False,), weight)
+                    if top in above:
+                        above[top] += x
+                    else:
+                        above[top] = x
+        weights = above
     return weights[w.inverse().word]
 
 
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     """All pipe dreams for w, without duplicates, in canonical order.
 
-    ``fold_rcgraphs`` weighs each state by the list of row tuples below it:
-    the empty state by one empty tuple, and each row filling prepends its
-    cells to every tuple of the state below.  The fold's part order makes
-    the list canonical.  Its rows always form a staircase ending in the
-    forced elbows, so they are wrapped unchecked, and each traces w, so
-    each carries the one tuple w^-1.word as its exit word, unswept.
+    ``fold_rcgraphs`` weighs each state by the list of row tuples below it,
+    each row filling prefixing its cells to every tuple of the state below.
+    The rows form a staircase ending in the forced elbows and trace w, so
+    they are wrapped unchecked, each with the one exit word w^-1.word.
+
+    One sort, True first, gives the canonical order, ``RcGraph.sort_key``,
+    the row-major list of crosses: every filling has l(w) crosses, so two
+    first differ at a cell where exactly one has a cross, which sorts first.
     """
     word = w.inverse().word
-    return [RcGraph._trusted(rows, word) for rows in fold_rcgraphs(
-        w, [()], lambda r, parts: [
-            (cells,) + rows for cells, below in parts for rows in below])]
+    listing = fold_rcgraphs(
+        w, [()], lambda r, cells, below: [(cells,) + rows for rows in below])
+    listing.sort(reverse=True)
+    return [RcGraph._trusted(rows, word) for rows in listing]
 
 
 def count_rcgraphs(w: Permutation) -> int:
     """The number of pipe dreams for w, len(enumerate_rcgraphs(w)), by
     ``fold_rcgraphs``: each state counts the fillings of the rows below it."""
-    return fold_rcgraphs(w, 1, lambda r, parts: sum(x for _, x in parts))
+    return fold_rcgraphs(w, 1, lambda r, cells, x: x)
 
 
 def inverse_chute_move(d: RcGraph, src: tuple[int, int],

@@ -2,10 +2,11 @@ import hashlib
 import operator
 from collections import Counter
 from itertools import permutations
+from math import comb
 
 import pytest
 
-from pipedreams.catalan import catalan
+from pipedreams.catalan import catalan, q_catalan
 from pipedreams.perm import identity, longest_element, make_perm, zigzag, embed
 from pipedreams import poly
 from pipedreams.poly import (
@@ -381,6 +382,14 @@ class TestRowTransferFolds:
     def test_zigzag_count_is_catalan(self):
         for n in range(15):
             assert count_rcgraphs(zigzag(n)) == catalan(n), n
+
+    @pytest.mark.parametrize("n", range(0, 14))
+    def test_zigzag_specialization_is_q_catalan(self, n):
+        # the packed coefficients past the listing's reach: a field too
+        # narrow for the largest coefficient would carry into the next
+        assert schubert_specialization(zigzag(n)) == (
+            QPolynomial.q_power(comb(n, 3)) * q_catalan(n)
+        ), n
 
 
 class TestEvaluateAllOnes:

@@ -17,6 +17,7 @@ from pipedreams.rcgraph import (
     RcGraph,
     bottom_rcgraph,
     chute_closure,
+    count_rcgraphs,
     enumerate_rcgraphs,
     fold_rcgraphs,
     inverse_chute_move,
@@ -267,10 +268,12 @@ class TestEnumerateOracles:
 
 
 class TestFoldWork:
-    """The fold's work as counts: one ``combine`` call per state and one
-    part per row filling between two states.  The listings stay the same
-    without the rules that drop a strand exiting east of its target, at an
-    elbow or at the anti-diagonal; only these counts see them."""
+    """The fold's work as counts: one ``extend`` call per row filling
+    between two states, and one state per edge that is not added into a
+    state already reached, counted by a weight whose ``+=`` counts.  The
+    target tests at the elbow and the anti-diagonal change these counts
+    and not the listings, but no one of them alone: the others prune the
+    same fillings within the row."""
 
     @pytest.mark.parametrize("w, states, edges", [
         (zigzag(7), 128, 320),
@@ -279,14 +282,31 @@ class TestFoldWork:
         (make_perm([1, 3, 2, 9, 8, 7, 6, 5, 4]), 740, 4_425),
     ], ids=["zigzag7", "zigzag9", "zigzag12", "132987654"])
     def test_states_and_edges(self, w, states, edges):
-        work = {"states": 0, "edges": 0}
+        work = {"edges": 0, "merges": 0}
 
-        def combine(r, parts):
-            work["states"] += 1
-            work["edges"] += len(parts)
+        class Tally:
+            def __iadd__(self, other):
+                work["merges"] += 1
+                return self
 
-        fold_rcgraphs(w, None, combine)
-        assert work == {"states": states, "edges": edges}
+        def extend(r, cells, below):
+            work["edges"] += 1
+            return Tally()
+
+        fold_rcgraphs(w, Tally(), extend)
+        assert work["edges"] - work["merges"] == states
+        assert work["edges"] == edges
+
+    def test_counting_holds_one_int_per_state(self):
+        # one int per state peaks at 2.8 MB; holding each state's edges
+        # in a list until the row ends takes 10.5 MB
+        tracemalloc.start()
+        try:
+            assert count_rcgraphs(zigzag(14)) == 2_674_440
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestChuteMoves:
