@@ -329,15 +329,15 @@ def fold_rcgraphs(w: Permutation, leaf: T,
     larger strand is west of the smaller, which for the traveler meeting b
     is traveler > b.  Such a pair is inverted in w, so w(traveler) < w(b),
     and the two tests together reduce to w(traveler) > w(b).  Hence no pair
-    crosses twice.  A strand is also dropped where it would exit a row east
-    of its target column, at an elbow or the anti-diagonal, since strands
-    move weakly east; b, crossed over, exits where it entered and was
-    tested already.  For the same reason an elbow at column j is dropped
-    when b's target is j: b turns east there and can only exit east of j.
-    The cross needs no such test, since w(traveler) > w(b) >= j already.
-    So every strand leaving row 1 sits weakly west of its target, and m
-    distinct columns with c(s) <= w(s) force c = w: the only state above
-    row 1 is w^-1.
+    crosses twice.  Strands move weakly east, so a strand of a state must
+    sit weakly west of its target, at a column c(s) <= w(s).  By induction
+    along a row, the traveler entering column j has w(traveler) >= j: the
+    row's strand r has w(r) >= 1, an elbow hands over to a b with w(b) > j,
+    its one target test, and a cross keeps a traveler with
+    w(traveler) > w(b) >= j, as b came from the state below.  So every
+    strand exits north weakly west of its target, at an elbow, a cross or
+    the anti-diagonal, with no test of its own.  Above row 1, m distinct
+    columns with c(s) <= w(s) force c = w: the only state left is w^-1.
     """
     m = w.size
     wv = (0,) + w.word
@@ -350,7 +350,7 @@ def fold_rcgraphs(w: Permutation, leaf: T,
                 grown = []
                 for traveler, top, cells in fillings:
                     # elbow: the traveler exits north at column j, b takes over east
-                    if wv[traveler] >= j and wv[b] > j:
+                    if wv[b] > j:
                         grown.append((b, top + (traveler,), cells + (False,)))
                     # cross: b exits north at column j, the traveler passes over it
                     if wv[traveler] > wv[b]:
@@ -358,13 +358,12 @@ def fold_rcgraphs(w: Permutation, leaf: T,
                 fillings = grown
             # forced anti-diagonal elbow: the traveler exits at column m + 1 - r
             for traveler, top, cells in fillings:
-                if wv[traveler] >= m + 1 - r:
-                    top += (traveler,)
-                    x = extend(r, cells + (False,), weight)
-                    if top in above:
-                        above[top] += x
-                    else:
-                        above[top] = x
+                top += (traveler,)
+                x = extend(r, cells + (False,), weight)
+                if top in above:
+                    above[top] += x
+                else:
+                    above[top] = x
         weights = above
     return weights[w.inverse().word]
 
