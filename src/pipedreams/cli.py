@@ -19,7 +19,7 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       larger n now fits the rule (120 takes 0.6 s and 57 MB in process)
   biject --n  10 for the whole family, whose items are written in batches
       as they are built: 0.6-2.0 s and 23 MB, --to eg being the slowest
-      target; 450 for one --rc grid (--to eg, the slowest, takes 2.3-2.7 s
+      target; 450 for one --rc grid (--to eg, the slowest, takes 2.5-2.8 s
       and 40 MB on five grids); an --rc file is read up to m(m+3)/2 + 16
       bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 3.4-4.0 s and 38 MB (18 takes 6.5-8.2 s and 61 MB

@@ -7,7 +7,10 @@ the Edelman-Greene variant of row bumping (inserting x into a row that
 already contains x and x+1 leaves the row alone and bumps x+1), the a
 letters record where boxes appear, and both tableaux are transposed before
 they are returned, so that columns are the strictly increasing direction of
-the recording tableau.
+the recording tableau.  ``evacuate`` reads the recording tableau in that
+same orientation: the staircase shape it must have is its own conjugate,
+so the shape check needs no transpose, and the strictness of the
+insertion's rows is the strictness of q down its columns.
 
 The right-to-left scan inside each row is what keeps the insertion tableau
 strictly increasing along rows and columns; reading_direction_report
@@ -59,8 +62,15 @@ class Tableau(Value):
                 raise ValueError("row lengths must weakly decrease")
         if not all(rows):
             raise ValueError("empty rows are not stored")
-        if rows and min(map(min, rows)) < 1:
-            raise ValueError("entries must be positive")
+        _check_positive(rows)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+        """Wrap rows already known to be non-empty, partition-shaped and
+        positive, skipping the checks of ``__init__``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,6 +81,12 @@ class Tableau(Value):
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
+
+
+def _check_positive(rows) -> None:
+    """The one check of ``Tableau`` that ``eg_insert`` runs on its output."""
+    if rows and min(map(min, rows)) < 1:
+        raise ValueError("entries must be positive")
 
 
 def _transposed(rows) -> tuple[tuple[int, ...], ...]:
@@ -141,35 +157,50 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     for row in q_rows:
         if not _strict(row):
             raise InsertionError(f"recording tableau has a non-strict row {row}")
-    return Tableau(_transposed(p_rows)), Tableau(_transposed(q_rows))
+    # So P is partition-shaped (a box that ends row r+1 sits at c' <= idx,
+    # under one of row r), a row is only made with a letter in it, and Q
+    # grows where P does.  Of Tableau's checks only "entries must be
+    # positive" is left to run: letters and labels from outside can be <= 0.
+    p, q = _transposed(p_rows), _transposed(q_rows)
+    _check_positive(p)
+    _check_positive(q)
+    return Tableau._trusted(p), Tableau._trusted(q)
 
 
 def evacuate(q: Tableau, n: int) -> BiWord:
     """Rebuild the word whose insertion has recording tableau q.
 
-    Works on the row-strict orientation (the transpose of the customary
-    form that ``eg_insert`` returns).  Take the boxes by biggest label,
-    southernmost first on ties, and rewind one insertion per box against
-    the closed-form staircase tableau that every zigzag filling of n
-    inserts to; the box labels come back as the a letters and the values
-    popped out of the top row as the alpha letters.
+    Reads q as ``eg_insert`` returns it, with columns the strict direction,
+    so column r of q is row r of the insertion.  The staircase of n is its
+    own conjugate, so q.shape is the staircase exactly when the insertion's
+    shape is, and no transpose is needed to check it.  Take the boxes by
+    biggest label, southernmost first on ties, and rewind one insertion per
+    box against the closed-form staircase tableau that every zigzag filling
+    of n inserts to; the box labels come back as the a letters and the
+    values popped out of the top row as the alpha letters.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     p_ref = [list(range(r + 3, n + 2)) for r in range(n - 1)]
-    qq = _transposed(q.rows)
-    if [len(r) for r in qq] != [len(r) for r in p_ref]:
+    rows = q.rows
+    if q.shape != tuple(range(n - 1, 0, -1)):
         raise InvalidQTableauError(
-            f"shape {tuple(len(r) for r in qq)} is not the staircase of {n}"
+            f"shape {tuple(map(len, _transposed(rows)))} is not the staircase of {n}"
         )
-    for r in qq:
-        if not _strict(r):
-            raise InvalidQTableauError(f"labels are not strict along row {list(r)}")
-    # rows are strict, so the biggest label left always ends its row; p_ref
-    # loses a box wherever q does, so its row lengths track what is left
-    boxes = sorted(((a, r) for r, row in enumerate(qq) for a in row), reverse=True)
+    if not all(all(map(lt, a, b)) for a, b in zip(rows, rows[1:])):
+        bad = next(r for r in _transposed(rows) if not _strict(r))
+        raise InvalidQTableauError(f"labels are not strict along row {list(bad)}")
+    # the insertion's rows are strict, so the biggest label left always ends
+    # its row; p_ref loses a box wherever q does, so its row lengths track
+    # what is left.  A box's key packs its label over its insertion row r < n.
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    boxes = sorted(
+        (a << shift | r for row in rows for r, a in enumerate(row)), reverse=True
+    )
     pairs: list[tuple[int, int]] = []
-    for a, box_row in boxes:
+    for key in boxes:
+        a, box_row = key >> shift, key & mask
         if box_row + 1 < len(p_ref) and len(p_ref[box_row + 1]) == len(p_ref[box_row]):
             raise InvalidQTableauError(
                 f"the box holding {a} in row {box_row + 1} is not removable"

@@ -86,12 +86,9 @@ class Permutation(Value):
         return length
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.word)
-        for i, v in enumerate(self.word, start=1):
-            inv[v - 1] = i
         # a rearrangement of 1..m already, so __init__'s check is skipped
         out = object.__new__(Permutation)
-        object.__setattr__(out, "word", tuple(inv))
+        object.__setattr__(out, "word", _inverse_word(self.word))
         return out
 
     def __mul__(self, other: Permutation) -> Permutation:
@@ -115,6 +112,14 @@ class Permutation(Value):
                 f"cannot parse permutation from {text!r}"
             ) from None
         return cls(values)
+
+
+def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line word of the inverse of a word known to rearrange 1..m."""
+    inv = [0] * len(word)
+    for i, v in enumerate(word, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
 
 
 def make_perm(word: Iterable[int]) -> Permutation:

@@ -23,7 +23,7 @@ from itertools import zip_longest
 from math import comb
 from typing import Callable, Iterable, TypeVar
 
-from .perm import Permutation, Value, zigzag
+from .perm import Permutation, Value, _inverse_word, zigzag
 
 T = TypeVar("T")
 
@@ -211,12 +211,14 @@ class RcGraph(Value):
         tuple of ``zip_longest`` over the rows, the rest being its padding.
         Cut there, it ends at the anti-diagonal elbow (m - j, j + 1).  Its
         strands swap entry and exit, so a carried exit word passes on
-        inverted.
+        inverted, by the helper ``Permutation.inverse`` uses: a carried
+        word already rearranges 1..m, so no ``Permutation`` is built or
+        validated.
         """
         m = self.m
         word = self._word
         if word is not None:
-            word = Permutation(word).inverse().word
+            word = _inverse_word(word)
         return RcGraph._trusted(tuple(
             col[:m - j] for j, col in enumerate(zip_longest(*self.rows))
         ), word)

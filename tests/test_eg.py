@@ -24,7 +24,7 @@ from pipedreams.eg import (
     q_label_row_check,
     reading_direction_report,
 )
-from pipedreams.perm import make_perm, zigzag
+from pipedreams.perm import Permutation, make_perm, zigzag
 from pipedreams.rcgraph import NotZigzagError, RcGraph, bottom_rcgraph, enumerate_rcgraphs
 
 
@@ -170,11 +170,14 @@ class TestQLabelRows:
 
 class TestEvacuate:
     def test_round_trip_family(self):
-        for n in range(1, 6):
-            for d in enumerate_rcgraphs(zigzag(n)):
-                word = eg_word(d)
-                _, q = eg_insert(word)
-                assert evacuate(q, n) == word
+        # the bottom filling runs to n = 40, whose box keys need 6 bits for
+        # the insertion row; up to n = 9 a fixed 4-bit field would pass
+        fillings = [(n, d) for n in range(1, 6) for d in enumerate_rcgraphs(zigzag(n))]
+        fillings += [(n, bottom_rcgraph(n)) for n in range(1, 41)]
+        for n, d in fillings:
+            word = eg_word(d)
+            _, q = eg_insert(word)
+            assert evacuate(q, n) == word, n
 
     def test_empty(self):
         assert evacuate(Tableau(()), 1) == ()
@@ -204,6 +207,35 @@ class TestEvacuate:
     def test_non_strict_rows_rejected(self):
         with pytest.raises(InvalidQTableauError):
             evacuate(Tableau(((1, 1), (2,))).transpose(), 3)
+
+
+class TestRoundTripWork:
+    """The round trip's work as counts over the zigzag-9 family: per
+    filling, ``eg_insert`` transposes P and Q once each and wraps them
+    unchecked, ``evacuate`` reads q as it comes, and the transpose of a
+    listed grid inverts its carried word without a ``Permutation``."""
+
+    def test_calls_per_filling(self, monkeypatch):
+        family = enumerate_rcgraphs(zigzag(9))
+        calls = Counter()
+
+        def count(owner, name):
+            f = getattr(owner, name)
+
+            def counted(*args):
+                calls[f.__qualname__] += 1
+                return f(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(eg, "_transposed")
+        count(Tableau, "__init__")
+        count(Permutation, "__init__")
+        for d in family:
+            evacuate(eg_insert(eg_word(d))[1], 9)
+            d.transpose()
+        assert len(family) == 4_862
+        assert calls == {"_transposed": 2 * 4_862}
 
 
 class TestEgPartition:
