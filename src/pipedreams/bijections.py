@@ -50,7 +50,8 @@ def partition_of(d: RcGraph) -> Partition:
     zigzag_index(d)
     parts = list(accumulate(row.count(False) - 1 for row in d.rows[:0:-1]))
     parts.reverse()
-    return Partition(tuple(filter(None, parts)))
+    # a row ends in an elbow, so counts are >= 0: the sums weakly decrease
+    return Partition._trusted(tuple(filter(None, parts)))
 
 
 def _check_staircase(p: Partition, n: int) -> None:
@@ -118,6 +119,14 @@ class DyckPath(Value):
                 f"path {self.steps!r} does not end on the diagonal"
             )
 
+    @classmethod
+    def _trusted(cls, steps: str) -> DyckPath:
+        """Wrap steps already known to form a Dyck path, skipping the checks
+        of ``__init__``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "steps", steps)
+        return out
+
     @property
     def n(self) -> int:
         return len(self.steps) // 2
@@ -140,7 +149,8 @@ def partition_to_dyck(p: Partition, n: int) -> DyckPath:
         steps.append("R")
         h = target
     steps.append("U" * (n - h))
-    return DyckPath("".join(steps))
+    # p fits, so the target n - p_k weakly increases and is >= k, the R count
+    return DyckPath._trusted("".join(steps))
 
 
 def dyck_to_partition(path: DyckPath) -> Partition:
@@ -153,7 +163,8 @@ def dyck_to_partition(path: DyckPath) -> Partition:
             h += 1
         else:
             heights.append(h)
-    return Partition(tuple(n - hk for hk in heights if n - hk > 0))
+    # the heights weakly increase, so the positive n - h_k weakly decrease
+    return Partition._trusted(tuple(n - hk for hk in heights if n - hk > 0))
 
 
 # -- bracketings and trees ----------------------------------------------------
@@ -214,6 +225,16 @@ class Bracketing(Value):
                 )
             enclosing.append((o, c))
 
+    @classmethod
+    def _trusted(cls, letters: int,
+                 pairs: tuple[tuple[int, int], ...]) -> Bracketing:
+        """Wrap sorted pairs already known to fully bracket the letters,
+        skipping the checks of ``__init__``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "letters", letters)
+        object.__setattr__(out, "pairs", pairs)
+        return out
+
     def __str__(self) -> str:
         """Brackets around every factor of two or more letters, and a space
         only inside a factor of exactly two letters, e.g. ``(1((2 3)4))``.
@@ -256,7 +277,10 @@ def reverse_bracketing(b: Bracketing) -> Bracketing:
     """Reverse the string together with its brackets (letters keep reading
     1 .. n+1; every pair (o, c) becomes (L+1-c, L+1-o))."""
     L = b.letters
-    return Bracketing(L, tuple((L + 1 - c, L + 1 - o) for o, c in b.pairs))
+    # x -> L+1-x keeps pairs in range, open < close, distinct and laminar
+    return Bracketing._trusted(
+        L, tuple(sorted((L + 1 - c, L + 1 - o) for o, c in b.pairs))
+    )
 
 
 def tree_of(b: Bracketing) -> int | list:

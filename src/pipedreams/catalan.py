@@ -28,6 +28,14 @@ class Partition(Value):
         if self.parts and self.parts[-1] <= 0:
             raise ValueError("parts must be positive")
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+        """Wrap parts already known to be positive and weakly decreasing,
+        skipping the checks of ``__init__``."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "parts", parts)
+        return out
+
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -139,4 +147,5 @@ def enumerate_staircase_partitions(n: int) -> list[Partition]:
             level.extend((b,) + t for t in tails[: ends[min(b, n - k - 1)]])
             level_ends.append(len(level))
         tails, ends = level, level_ends
-    return [Partition(t) for t in tails]
+    # a tail gets a part b >= 1 only before tails whose first part is <= b
+    return [Partition._trusted(t) for t in tails]

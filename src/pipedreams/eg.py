@@ -5,10 +5,12 @@ from the top with each row scanned right to left, contributes the pair
 (a_k, alpha_k) = (row, row + column).  The alpha letters are inserted with
 the Edelman-Greene variant of row bumping (inserting x into a row that
 already contains x and x+1 leaves the row alone and bumps x+1), the a
-letters record where boxes appear, and both tableaux are transposed before
-they are returned, so that columns are the strictly increasing direction of
-the recording tableau.  ``evacuate`` reads the recording tableau in that
-same orientation: the staircase shape it must have is its own conjugate,
+letters record where boxes appear, and both tableaux are returned
+transposed, so that columns are the strictly increasing direction of the
+recording tableau.  The recording tableau is built in that orientation,
+one insertion column per row, and the insertion tableau is transposed
+once at the end.  ``evacuate`` reads the recording tableau in that same
+orientation: the staircase shape it must have is its own conjugate,
 so the shape check needs no transpose, and the strictness of the
 insertion's rows is the strictness of q down its columns.
 
@@ -126,13 +128,12 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     """Insert a two-row word; returns the insertion and recording tableaux,
     both transposed so columns are the strict direction of the recording."""
     p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
+    q_cols: list[list[int]] = []
     for a, x in word:
         for r, row in enumerate(p_rows):
             idx = bisect_left(row, x)
             if idx == len(row):
                 row.append(x)
-                q_rows[r].append(a)
                 break
             y = row[idx]
             if y == x:
@@ -148,20 +149,28 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
             x = y
         else:
             p_rows.append([x])
-            q_rows.append([a])
+            idx = 0
+        # The new box sits at column idx under the column's other boxes, as
+        # P's shape stays a partition (below): it is the last label of q[idx].
+        if idx < len(q_cols):
+            q_cols[idx].append(a)
+        else:
+            q_cols.append([a])
     # P stays strict.  Rows: x passes smaller entries; an equal one bumps x+1
     # or raises.  Columns: row r sends down v, the y bumped from column idx or
     # x+1 with x at idx.  As row_{r+1}[idx] > row_r[idx] >= v - 1, v replaces
     # a larger entry or ends row r+1 at c' <= idx, under row_r[c'] <= x < v.
-    # Q rows are checked: labels from outside can break them.
-    for row in q_rows:
-        if not _strict(row):
-            raise InsertionError(f"recording tableau has a non-strict row {row}")
+    # Q rows are checked, between adjacent rows of q: labels from outside
+    # can break them.  Only a failure rebuilds the rows, to name the first.
+    if not all(all(map(lt, a, b)) for a, b in zip(q_cols, q_cols[1:])):
+        bad = next(r for r in _transposed(q_cols) if not _strict(r))
+        raise InsertionError(f"recording tableau has a non-strict row {list(bad)}")
     # So P is partition-shaped (a box that ends row r+1 sits at c' <= idx,
     # under one of row r), a row is only made with a letter in it, and Q
-    # grows where P does.  Of Tableau's checks only "entries must be
-    # positive" is left to run: letters and labels from outside can be <= 0.
-    p, q = _transposed(p_rows), _transposed(q_rows)
+    # grows where P does, so q, built as returned, is P's shape transposed.
+    # Of Tableau's checks only "entries must be positive" is left to run:
+    # letters and labels from outside can be <= 0.
+    p, q = _transposed(p_rows), tuple(map(tuple, q_cols))
     _check_positive(p)
     _check_positive(q)
     return Tableau._trusted(p), Tableau._trusted(q)
@@ -251,7 +260,8 @@ def _recording_partition(q: Tableau) -> Partition:
         raise NonPartitionBoxesError(
             f"row counts {counts} do not weakly decrease"
         )
-    return Partition(tuple(counts))
+    # weakly decreasing down to a last count > 0, so every count is positive
+    return Partition._trusted(tuple(counts))
 
 
 def q_label_row_check(q: Tableau) -> bool:

@@ -195,7 +195,7 @@ class RcGraph(Value):
 
     def weight(self) -> int:
         """Sum of (row - 1) over all crosses."""
-        return sum(i * sum(row) for i, row in enumerate(self.rows))
+        return sum(i * row.count(True) for i, row in enumerate(self.rows))
 
     def monomial(self) -> tuple[int, ...]:
         """Exponent vector: entry i-1 counts the crosses in row i."""

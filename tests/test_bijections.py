@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement, count, permutations
 from math import comb
 
@@ -24,6 +25,7 @@ from pipedreams.catalan import (
     fits_staircase,
     staircase,
 )
+from pipedreams.eg import Tableau, _recording_partition, eg_insert, eg_word
 from pipedreams.perm import make_perm, zigzag
 from pipedreams.rcgraph import (
     NotZigzagError,
@@ -499,3 +501,96 @@ def test_bracketing_str_is_injective(letters):
     assert built == rebuilt
     assert [str(b) for b in built] == [str(b) for b in rebuilt]
     assert len(set(built)) == len({str(b) for b in built}) == len(built)
+
+
+def assert_validates(x):
+    """x equals its own fields run through its class's checking constructor."""
+    if isinstance(x, Partition):
+        assert x == Partition(x.parts), x
+    elif isinstance(x, DyckPath):
+        assert x == DyckPath(x.steps), x
+    elif isinstance(x, Bracketing):
+        assert x == Bracketing(x.letters, x.pairs), x
+    else:
+        assert x == Tableau(x.rows), x
+
+
+class TestTrustedAgainstValidated:
+    """Each value built unchecked, because the code that builds it proves it
+    valid, passes the checks it skipped."""
+
+    def test_every_zigzag_filling_and_staircase_partition(self):
+        for n in range(0, 10):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                p = partition_of(d)
+                p_tab, q = eg_insert(eg_word(d))
+                path = partition_to_dyck(p, n)
+                for x in (p, p_tab, q, _recording_partition(q), path,
+                          dyck_to_partition(path),
+                          reverse_bracketing(bracketing_of(d))):
+                    assert_validates(x)
+            for p in enumerate_staircase_partitions(n):
+                path = partition_to_dyck(p, n)
+                for x in (p, path, dyck_to_partition(path)):
+                    assert_validates(x)
+
+    def test_dyck_coding_of_random_staircase_partitions(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        # min(v_k, n - k) over a weakly decreasing v fits the staircase of n
+        def staircase_partitions(n):
+            return st.lists(st.integers(0, n), max_size=n).map(
+                lambda v: (n, Partition(tuple(filter(None, (
+                    min(x, n - k)
+                    for k, x in enumerate(sorted(v, reverse=True), start=1)
+                ))))))
+
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.integers(0, 30).flatmap(staircase_partitions))
+        def check(data):
+            n, p = data
+            path = partition_to_dyck(p, n)
+            assert_validates(path)
+            assert path.n == n
+            assert path_area_above_diagonal(path) == comb(n, 2) - p.size
+            back = dyck_to_partition(path)
+            assert_validates(back)
+            assert back == p
+
+        check()
+
+
+class TestTrustedWork:
+    """Over the zigzag-9 family and the staircase partitions of 9, the
+    bijections build their partitions, paths and reversed bracketings
+    without re-running the class checks; only the bracketings read off
+    fillings are validated, two per bracket round trip."""
+
+    def test_constructor_checks(self, monkeypatch):
+        family = enumerate_rcgraphs(zigzag(9))
+        calls = Counter()
+        for cls in (Partition, DyckPath, Bracketing):
+            def counted(self, *args, init=cls.__init__):
+                calls[init.__qualname__] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        partitions = enumerate_staircase_partitions(9)
+        qs = [eg_insert(eg_word(d))[1] for d in family]
+        brackets = [bracketing_of(d) for d in family]
+        assert calls == {"Bracketing.__init__": 4_862}
+        calls.clear()
+        for d, q, b in zip(family, qs, brackets):
+            partition_of(d)
+            _recording_partition(q)
+            reverse_bracketing(b)
+        for p in partitions:
+            dyck_to_partition(partition_to_dyck(p, 9))
+        assert calls == {}
+        for d in family:
+            assert bracketing_of(d.transpose()) == reverse_bracketing(bracketing_of(d))
+        assert (len(family), len(partitions)) == (4_862, 4_862)
+        assert calls == {"Bracketing.__init__": 2 * 4_862}
