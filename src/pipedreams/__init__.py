@@ -54,8 +54,6 @@ from .perm import (
     NotAPermutationError,
     Permutation,
     dominant_singular,
-    embed,
-    identity,
     local_equations_condition,
     longest_element,
     make_perm,
@@ -77,7 +75,6 @@ from .rcgraph import (
     RcGraph,
     RcGraphError,
     bottom_rcgraph,
-    chute_closure,
     count_rcgraphs,
     enumerate_rcgraphs,
     inverse_chute_move,

@@ -44,17 +44,6 @@ class Partition(Value):
         """The k-th part, 1-indexed; zero past the last part."""
         return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
 
-    def conjugate(self) -> Partition:
-        """Transpose of the Young diagram, by column counting."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= j)
-                for j in range(1, self.parts[0] + 1)
-            )
-        )
-
     def to_json(self) -> list[int]:
         return list(self.parts)
 

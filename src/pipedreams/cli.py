@@ -81,12 +81,13 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 
 
 def _perm(text: str) -> Permutation:
+    # the size is the comma count, checked before parsing, so an oversized
+    # word is refused without being parsed or echoed back
+    _check_limit("--perm of size", text.count(",") + 1, MAX_PERM_SIZE)
     try:
-        w = Permutation.from_string(text)
+        return Permutation.from_string(text)
     except NotAPermutationError as exc:
         raise NotAPermutationError(f"--perm: {exc}") from None
-    _check_limit("--perm of size", w.size, MAX_PERM_SIZE)
-    return w
 
 
 def build_parser() -> argparse.ArgumentParser:

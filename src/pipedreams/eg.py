@@ -78,9 +78,6 @@ class Tableau(Value):
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    def transpose(self) -> Tableau:
-        return Tableau(_transposed(self.rows))
-
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 

@@ -127,10 +127,6 @@ def make_perm(word: Iterable[int]) -> Permutation:
     return Permutation(tuple(word))
 
 
-def identity(m: int) -> Permutation:
-    return Permutation(tuple(range(1, m + 1)))
-
-
 def longest_element(m: int) -> Permutation:
     """The permutation m, m-1, ..., 1."""
     return Permutation(tuple(range(m, 0, -1)))
@@ -152,13 +148,6 @@ def dominant_singular(n: int) -> Permutation:
     if n < 1:
         raise ValueError("n must be positive")
     return Permutation((n + 2,) + tuple(range(2, n + 2)) + (1,))
-
-
-def embed(w: Permutation, m: int) -> Permutation:
-    """Extend w with fixed points so that it lives in S_m."""
-    if m < w.size:
-        raise ValueError(f"cannot embed S_{w.size} into S_{m}")
-    return Permutation(w.word + tuple(range(w.size + 1, m + 1)))
 
 
 def local_equations_condition(w: Permutation) -> bool:

@@ -34,7 +34,7 @@ from collections import Counter
 from math import comb
 from typing import Iterable, Mapping
 
-from .perm import Permutation
+from .perm import Permutation, Value
 from .rcgraph import enumerate_rcgraphs, fold_rcgraphs
 
 
@@ -127,7 +127,7 @@ def _divided_difference(
     return {key: c for key, c in quotient.items() if c}
 
 
-class QPolynomial:
+class QPolynomial(Value):
     """A polynomial in q with integer coefficients, dense and ascending."""
 
     __slots__ = ("coeffs",)
@@ -136,7 +136,7 @@ class QPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
     def zero(cls) -> QPolynomial:
@@ -170,12 +170,6 @@ class QPolynomial:
                     out[i + j] += a * b
         return QPolynomial(tuple(out))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -190,16 +184,16 @@ class QPolynomial:
         return f"QPolynomial({self.coeffs!r})"
 
 
-class SparsePolynomial:
+class SparsePolynomial(Value):
     """A Schubert polynomial as the two routes return it: a map from
     exponent tuples over x_1, x_2, ... to nonzero integer coefficients.
 
     It is a result type, not a general ring: it compares, prints,
     specialises x_i -> q^(i-1), evaluates at all ones and takes divided
-    differences.  Keys carry no trailing zeros; treat instances as
-    immutable.  The constructor normalises any map of exponent tuples
-    (``SparsePolynomial()`` is zero); the routes, whose keys are already
-    stripped, wrap theirs with ``_trusted``.
+    differences.  Keys carry no trailing zeros.  ``terms`` cannot be
+    rebound; treat its map as immutable.  The constructor normalises any
+    map of exponent tuples (``SparsePolynomial()`` is zero); the routes,
+    whose keys are already stripped, wrap theirs with ``_trusted``.
     """
 
     __slots__ = ("terms",)
@@ -213,13 +207,13 @@ class SparsePolynomial:
                 data[key] = total
             else:
                 data.pop(key, None)
-        self.terms = data
+        object.__setattr__(self, "terms", data)
 
     @classmethod
     def _trusted(cls, terms: dict[tuple[int, ...], int]) -> SparsePolynomial:
         """Wrap a map that is already stripped and free of zero coefficients."""
         out = cls.__new__(cls)
-        out.terms = terms
+        object.__setattr__(out, "terms", terms)
         return out
 
     def __mul__(self, other: SparsePolynomial) -> SparsePolynomial:
@@ -240,9 +234,6 @@ class SparsePolynomial:
                 else:
                     del data[exp]
         return SparsePolynomial._trusted(data)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SparsePolynomial) and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -299,9 +290,6 @@ class SparsePolynomial:
             )
             for exp in sorted(self.terms, reverse=True)
         )
-
-    def __repr__(self) -> str:
-        return f"SparsePolynomial({self.terms!r})"
 
 
 def schubert_polynomial(w: Permutation) -> SparsePolynomial:

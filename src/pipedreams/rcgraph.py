@@ -143,15 +143,6 @@ class RcGraph(Value):
     def m(self) -> int:
         return len(self.rows)
 
-    def in_grid(self, i: int, j: int) -> bool:
-        return i >= 1 and j >= 1 and i + j <= self.m + 1
-
-    def is_cross(self, i: int, j: int) -> bool:
-        return self.in_grid(i, j) and self.rows[i - 1][j - 1]
-
-    def is_elbow(self, i: int, j: int) -> bool:
-        return self.in_grid(i, j) and not self.rows[i - 1][j - 1]
-
     def crosses(self) -> tuple[tuple[int, int], ...]:
         """Cross cells in row-major order."""
         return tuple(
@@ -159,15 +150,6 @@ class RcGraph(Value):
             for i, row in enumerate(self.rows, start=1)
             for j, c in enumerate(row, start=1)
             if c
-        )
-
-    def elbows(self) -> tuple[tuple[int, int], ...]:
-        """Elbow cells off the anti-diagonal, in row-major order."""
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, c in enumerate(row[:-1], start=1)
-            if not c
         )
 
     # -- semantics ---------------------------------------------------------
@@ -232,15 +214,6 @@ class RcGraph(Value):
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "crosses": [[i, j] for i, j in self.crosses()]}
-
-    def sort_key(self) -> tuple:
-        return (self.m, self.crosses())
-
-    def _replace(self, changes: dict[tuple[int, int], bool]) -> RcGraph:
-        rows = [list(r) for r in self.rows]
-        for (i, j), value in changes.items():
-            rows[i - 1][j - 1] = value
-        return RcGraph(tuple(tuple(r) for r in rows))
 
 
 _set_rows = RcGraph.rows.__set__
@@ -378,8 +351,8 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     The rows form a staircase ending in the forced elbows and trace w, so
     they are wrapped unchecked, each with the one exit word w^-1.word.
 
-    One sort, True first, gives the canonical order, ``RcGraph.sort_key``,
-    the row-major list of crosses: every filling has l(w) crosses, so two
+    One sort, True first, gives the canonical order, the row-major list of
+    crosses, ``crosses()``: every filling has l(w) crosses, so two
     first differ at a cell where exactly one has a cross, which sorts first.
     """
     word = w.inverse().word
@@ -406,39 +379,49 @@ def inverse_chute_move(d: RcGraph, src: tuple[int, int],
     count as neither crosses nor elbows, which makes every condition fail
     there.
     """
+    rows, m = d.rows, d.m
+
+    def cell(r: int, c: int) -> bool | None:
+        """True for a cross, False for an elbow, None outside the staircase:
+        falsy, so no cross, and not False, so no elbow."""
+        return rows[r - 1][c - 1] if r >= 1 and c >= 1 and r + c <= m + 1 else None
+
     i, j = src
     i2, j2 = dst
-    if not d.is_elbow(i, j):
+    if cell(i, j) is not False:
         raise ChuteMoveError(0, f"source cell {src} is not an elbow")
     if not (i2 > i and j2 < j):
         raise ChuteMoveError(
             0, f"destination {dst} is not strictly below and left of {src}"
         )
-    if not all(d.is_cross(k, j) for k in range(i + 1, i2)) or not d.is_elbow(i2, j):
+    if not all(cell(k, j) for k in range(i + 1, i2)) or cell(i2, j) is not False:
         raise ChuteMoveError(
             1,
             f"condition 1 fails: column {j} must be crosses strictly between "
             f"rows {i} and {i2} with an elbow at ({i2}, {j})",
         )
-    if not all(d.is_cross(i, k) for k in range(j2 + 1, j)) or not d.is_elbow(i, j2):
+    if not all(cell(i, k) for k in range(j2 + 1, j)) or cell(i, j2) is not False:
         raise ChuteMoveError(
             2,
             f"condition 2 fails: row {i} must be crosses strictly between "
             f"columns {j2} and {j} with an elbow at ({i}, {j2})",
         )
-    if not all(d.is_cross(k, j2) for k in range(i + 1, i2 + 1)):
+    if not all(cell(k, j2) for k in range(i + 1, i2 + 1)):
         raise ChuteMoveError(
             3,
             f"condition 3 fails: column {j2} must be crosses from row {i + 1} "
             f"to row {i2}",
         )
-    if not all(d.is_cross(i2, k) for k in range(j2, j)):
+    if not all(cell(i2, k) for k in range(j2, j)):
         raise ChuteMoveError(
             4,
             f"condition 4 fails: row {i2} must be crosses from column {j2} "
             f"to column {j - 1}",
         )
-    return d._replace({(i, j): True, (i2, j2): False})
+    grid = [list(row) for row in rows]
+    grid[i - 1][j - 1] = True
+    grid[i2 - 1][j2 - 1] = False
+    return RcGraph(tuple(map(tuple, grid)))
 
 
 def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
@@ -486,22 +469,3 @@ def unsplit(n: int, k: int, south: RcGraph, north: RcGraph) -> RcGraph:
     rows.append((False,))
     # Parts of the checked sizes fill the staircase of S_(n+1) row by row.
     return RcGraph._trusted(tuple(rows))
-
-
-def chute_closure(start: RcGraph) -> list[RcGraph]:
-    """All fillings reachable from ``start`` by inverse chute moves."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        d = frontier.pop()
-        for i, j in d.elbows():
-            for i2 in range(i + 1, d.m + 1):
-                for j2 in range(1, j):
-                    try:
-                        nxt = inverse_chute_move(d, (i, j), (i2, j2))
-                    except ChuteMoveError:
-                        continue
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-    return sorted(seen, key=RcGraph.sort_key)

@@ -36,6 +36,8 @@ from pipedreams.rcgraph import (
     zigzag_index,
 )
 
+from oracles import conjugate, elbows
+
 # (crosses, partition, bracketing) for the five fillings of 1,4,3,2
 FIGURE_BIJECTIONS = [
     (((2, 1), (2, 2), (3, 1)), (), "(1(2(3 4)))"),
@@ -94,9 +96,9 @@ def ref_partition_of(d):
     """The elbow-list-and-conjugate partition_of that the suffix sums
     replaced (oracle)."""
     zigzag_index(d)
-    conj = Partition(tuple(sorted((i - 1 for i, _ in d.elbows() if i > 1),
+    conj = Partition(tuple(sorted((i - 1 for i, _ in elbows(d) if i > 1),
                                   reverse=True)))
-    return conj.conjugate()
+    return conjugate(conj)
 
 
 def outcome(f, *args):
@@ -156,12 +158,11 @@ def chute_walk(p, n):
     that is not under a top-row cross up to row one by an inverse chute
     move."""
     d = bottom_rcgraph(n)
-    for k in p.conjugate().parts:
-        row = k + 1
-        src_col = max(
-            c for c in range(1, n + 1 - k) if d.is_cross(row, c) and d.is_elbow(1, c)
-        )
-        dst_col = min(c for c in range(src_col + 1, n + 2) if d.is_elbow(1, c))
+    for k in conjugate(p).parts:
+        row, top = k + 1, d.rows[0]
+        src_col = max(c for c in range(1, n + 1 - k)
+                      if d.rows[row - 1][c - 1] and not top[c - 1])
+        dst_col = min(c for c in range(src_col + 1, n + 2) if not top[c - 1])
         d = inverse_chute_move(d, (1, dst_col), (row, src_col))
     return d
 
@@ -304,7 +305,7 @@ def ref_bracketing_pairs(letters, pairs):
 def ref_bracketing_of(d):
     n = zigzag_index(d)
     return ref_bracketing_pairs(
-        n + 1, tuple(sorted((j, n + 2 - i) for i, j in d.elbows()))
+        n + 1, tuple(sorted((j, n + 2 - i) for i, j in elbows(d)))
     )
 
 

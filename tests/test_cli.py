@@ -288,6 +288,9 @@ def test_golden_stdout(capsys, argv, expected):
          "error: --perm of size 10 exceeds the limit of 9\n"),
         (("specialize", "--perm", "1,10,9,8,7,6,5,4,3,2"),
          "error: --perm of size 10 exceeds the limit of 9\n"),
+        # an oversized word is refused before it is parsed or echoed back
+        (("enumerate", "--perm", "1,1,2,3,4,5,6,7,8,9"),
+         "error: --perm of size 10 exceeds the limit of 9\n"),
         (("catalan", "--n", "5001"), "error: --n 5001 exceeds the limit of 5000\n"),
         (("catalan", "--n", "81", "--q"),
          "error: --q --n 81 exceeds the limit of 80\n"),
@@ -301,7 +304,8 @@ def test_golden_stdout(capsys, argv, expected):
     ids=["perm-repeated-entry", "perm-not-a-number", "catalan-negative",
          "via-is-gone", "biject-n-zero", "verify-max-n-zero",
          "multiplicity-n-zero",
-         "enumerate-perm", "schubert-perm", "specialize-perm", "catalan-n",
+         "enumerate-perm", "schubert-perm", "specialize-perm",
+         "perm-oversized-non-permutation", "catalan-n",
          "catalan-q-n", "biject-n", "biject-rc-n",
          "multiplicity-n", "verify-max-n"],
 )

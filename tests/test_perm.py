@@ -6,18 +6,16 @@ from math import comb
 import pytest
 
 from pipedreams.bijections import Bracketing, DyckPath
-from pipedreams.catalan import Partition
+from pipedreams.catalan import Partition, q_catalan
 from pipedreams.eg import Tableau
 from pipedreams.multiplicity import SpecializationReport
-from pipedreams.poly import QPolynomial
+from pipedreams.poly import QPolynomial, SparsePolynomial
 from pipedreams.rcgraph import RcGraph, enumerate_rcgraphs
 from pipedreams.verify import CheckResult
 from pipedreams.perm import (
     NotAPermutationError,
     Permutation,
     dominant_singular,
-    embed,
-    identity,
     local_equations_condition,
     longest_element,
     make_perm,
@@ -80,7 +78,7 @@ class TestMakePerm:
 class TestLength:
     def test_frozen_examples(self):
         assert make_perm([1, 4, 3, 2]).length == 3
-        assert identity(5).length == 0
+        assert make_perm([1, 2, 3, 4, 5]).length == 0
         assert make_perm([2, 1]).length == 1
 
     def test_against_oracle_s4(self):
@@ -129,7 +127,7 @@ class TestDominantSingular:
     def test_longest_times_it_is_embedded_zigzag(self):
         for n in range(1, 7):
             lhs = longest_element(n + 2) * dominant_singular(n)
-            assert lhs == embed(zigzag(n), n + 2)
+            assert lhs == make_perm(zigzag(n).word + (n + 2,))
 
 
 class TestGroupOperations:
@@ -142,27 +140,14 @@ class TestGroupOperations:
     def test_inverse_product_is_identity_s4(self):
         for word in permutations(range(1, 5)):
             w = make_perm(word)
-            assert w * w.inverse() == identity(4)
+            assert w * w.inverse() == make_perm([1, 2, 3, 4])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
-            identity(3) * identity(4)
+            make_perm([1, 2, 3]) * make_perm([1, 2, 3, 4])
 
     def test_longest_element(self):
         assert longest_element(4).word == (4, 3, 2, 1)
-
-
-class TestEmbed:
-    def test_extends_with_fixed_points(self):
-        assert embed(make_perm([1, 4, 3, 2]), 5).word == (1, 4, 3, 2, 5)
-
-    def test_identity_case(self):
-        w = make_perm([2, 1, 3])
-        assert embed(w, w.size) == w
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            embed(make_perm([1, 4, 3, 2]), 3)
 
 
 class TestLocalEquationsCondition:
@@ -171,7 +156,7 @@ class TestLocalEquationsCondition:
             assert local_equations_condition(dominant_singular(n))
 
     def test_identity_s2(self):
-        w = identity(2)
+        w = make_perm([1, 2])
         assert condition_oracle(w.word) is True
         assert local_equations_condition(w) is True
 
@@ -213,6 +198,7 @@ VALUES = [
     (CheckResult(ident="1", name="a", suite="prop1", passed=True, detail="d"),
      ("1", "a", "prop1", True, "d"),
      "CheckResult(ident='1', name='a', suite='prop1', passed=True, detail='d')"),
+    (QPolynomial(coeffs=(1, 2)), ((1, 2),), "QPolynomial((1, 2))"),
 ]
 VALUE_IDS = [f"{type(x).__name__}-{i}" for i, (x, _, _) in enumerate(VALUES)]
 
@@ -250,6 +236,17 @@ class TestValueClasses:
         assert Partition((1,)) != ((1,),)
         assert Permutation((2, 1)) != Permutation((1, 2))
         assert Bracketing(2, ((1, 2),)) != Bracketing(3, ((1, 3), (2, 3)))
+
+    def test_polynomial_fields_are_read_only(self):
+        # q_catalan is cached: a rebound coeffs would reach every later caller
+        before = q_catalan(5).coeffs
+        for value, name in ((q_catalan(5), "coeffs"),
+                            (SparsePolynomial({(1,): 1}), "terms")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, (9,))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert q_catalan(5).coeffs == before
 
     def test_rcgraph_exit_word_is_not_a_field(self):
         listed = enumerate_rcgraphs(zigzag(3))[0]

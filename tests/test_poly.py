@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from pipedreams.catalan import catalan, q_catalan
-from pipedreams.perm import identity, longest_element, make_perm, zigzag, embed
+from pipedreams.perm import longest_element, make_perm, zigzag
 from pipedreams import poly
 from pipedreams.poly import (
     QPolynomial,
@@ -223,12 +223,12 @@ class TestSchubert:
         assert schubert_polynomial(make_perm([1, 4, 3, 2])) == SCHUBERT_1432
 
     def test_identity(self):
-        assert schubert_polynomial(identity(3)) == SparsePolynomial({(): 1})
+        assert schubert_polynomial(make_perm([1, 2, 3])) == SparsePolynomial({(): 1})
 
     def test_embedding_invariance(self):
-        w = make_perm([1, 4, 3, 2])
-        assert schubert_polynomial(embed(w, 5)) == schubert_polynomial(w)
-        assert schubert_polynomial(embed(w, 6)) == schubert_polynomial(w)
+        expected = schubert_polynomial(make_perm([1, 4, 3, 2]))
+        assert schubert_polynomial(make_perm([1, 4, 3, 2, 5])) == expected
+        assert schubert_polynomial(make_perm([1, 4, 3, 2, 5, 6])) == expected
 
 
 class TestOracle:
