@@ -257,11 +257,11 @@ class Bracketing(Value):
         )
 
 
-def bracketing_of(d: RcGraph) -> Bracketing:
-    """One bracket pair per elbow off the anti-diagonal: the elbow at (i, j)
-    opens before letter j and closes after letter n+2-i.  Each row is
-    scanned for its elbows by ``index``, which ends at the anti-diagonal
-    elbow, and ``Bracketing`` sorts the pairs."""
+def _elbow_pairs(d: RcGraph) -> tuple[int, list[tuple[int, int]]]:
+    """The n of the zigzag that d fills, and one bracket pair per elbow off
+    the anti-diagonal, unsorted and unchecked: the elbow at (i, j) opens
+    before letter j and closes after letter n+2-i.  Each row is scanned for
+    its elbows by ``index``, which ends at the anti-diagonal elbow."""
     n = zigzag_index(d)
     pairs: list[tuple[int, int]] = []
     for close, row in zip(range(n + 1, 0, -1), d.rows):
@@ -270,6 +270,13 @@ def bracketing_of(d: RcGraph) -> Bracketing:
         while j < last:
             pairs.append((j + 1, close))
             j = row.index(False, j + 1)
+    return n, pairs
+
+
+def bracketing_of(d: RcGraph) -> Bracketing:
+    """The bracketing of 1 .. n+1 whose pairs are d's elbows off the
+    anti-diagonal; ``Bracketing`` sorts and checks them."""
+    n, pairs = _elbow_pairs(d)
     return Bracketing(n + 1, tuple(pairs))
 
 

@@ -24,8 +24,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 3.4-4.0 s and 38 MB (18 takes 6.5-8.2 s and 61 MB
       in process)
-  verify --max-n  10, 4.5-5.8 s and 26 MB over five runs (9 takes
-      1.2-1.4 s and 18.8 MB)
+  verify --max-n  10, 2.6-3.5 s CPU and 26 MB over five runs by os.wait4
+      (9 takes 0.6-0.7 s and 18.7 MB)
 """
 
 from __future__ import annotations

@@ -109,14 +109,15 @@ def _strict(seq) -> bool:
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
     """The two-row word of a filling: pairs (i, i + j) over the crosses
     (i, j), rows top to bottom, each row's cross columns j scanned in the
-    given direction."""
+    given direction.  A row's last cell is never scanned: it is the
+    anti-diagonal cell, an elbow in every ``RcGraph``."""
     if direction not in (RIGHT_TO_LEFT, LEFT_TO_RIGHT):
         raise ValueError(f"unknown reading direction {direction!r}")
     backwards = direction == RIGHT_TO_LEFT
     return tuple(
         (i, i + j)
         for i, row in enumerate(d.rows, start=1)
-        for j in (range(len(row), 0, -1) if backwards else range(1, len(row) + 1))
+        for j in (range(len(row) - 1, 0, -1) if backwards else range(1, len(row)))
         if row[j - 1]
     )
 
@@ -127,7 +128,7 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     p_rows: list[list[int]] = []
     q_cols: list[list[int]] = []
     for a, x in word:
-        for r, row in enumerate(p_rows):
+        for row in p_rows:
             idx = bisect_left(row, x)
             if idx == len(row):
                 row.append(x)
@@ -139,9 +140,8 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
                 if idx + 1 < len(row) and row[idx + 1] == x + 1:
                     x += 1
                     continue
-                raise InsertionError(
-                    f"letter {x} repeats in row {r + 1} without {x + 1}"
-                )
+                r = next(r for r, other in enumerate(p_rows, 1) if other is row)
+                raise InsertionError(f"letter {x} repeats in row {r} without {x + 1}")
             row[idx] = x
             x = y
         else:

@@ -20,6 +20,7 @@ from math import comb
 from typing import NamedTuple
 
 from .bijections import (
+    _elbow_pairs,
     bracketing_of,
     dyck_to_partition,
     partition_of,
@@ -130,14 +131,16 @@ def check_partition_bijection(n: int, graphs: list[RcGraph],
     failures = []
     seen = set()
     inverted = set()
+    top_weight = comb(n + 1, 3)
     for d in graphs:
         p = partition_of(d)
         if not fits_staircase(p, n):
             failures.append(f"n={n}: {p} outside the staircase")
-        if p in seen:
-            failures.append(f"n={n}: {p} hit twice")
+        before = len(seen)
         seen.add(p)
-        if d.weight() != comb(n + 1, 3) - p.size:
+        if len(seen) == before:
+            failures.append(f"n={n}: {p} hit twice")
+        if d.weight() != top_weight - p.size:
             failures.append(f"n={n}: weight law fails for {p}")
         if rcgraph_of(p, n) != d:
             failures.append(f"n={n}: rcgraph_of does not invert at {p}")
@@ -217,7 +220,10 @@ def check_transpose(n: int, graphs: list[RcGraph], partitions) -> list[str]:
     """Transposing a filling reverses its bracketing."""
     failures = []
     for d in graphs:
-        if bracketing_of(d.transpose()) != reverse_bracketing(bracketing_of(d)):
+        rev = reverse_bracketing(bracketing_of(d))
+        m, pairs = _elbow_pairs(d.transpose())
+        # pairs equal to rev, a valid bracketing, would pass every Bracketing check
+        if (m + 1, tuple(sorted(pairs))) != (rev.letters, rev.pairs):
             failures.append(f"n={n}: transpose is not string reversal")
     return failures
 
@@ -225,9 +231,10 @@ def check_transpose(n: int, graphs: list[RcGraph], partitions) -> list[str]:
 def check_split(n: int, graphs: list[RcGraph], partitions) -> list[str]:
     """The turn-row decomposition satisfies the exact weight identity."""
     failures = []
+    shift = {k: turn_row_shift(n, k) for k in range(1, n + 1)}
     for d in graphs:
         k, south, north = split(d)
-        if d.weight() != north.weight() + south.weight() + turn_row_shift(n, k):
+        if d.weight() != north.weight() + south.weight() + shift[k]:
             failures.append(f"n={n}: weight identity fails at k={k}")
     return failures
 

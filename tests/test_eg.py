@@ -146,6 +146,12 @@ class TestEgInsert:
         with pytest.raises(InsertionError):
             eg_insert(((1, 3), (1, 4), (2, 4)))
 
+    def test_a_repeat_below_row_1_names_its_row(self):
+        # the 1s bump 2 into row 2, where the second 2 has no 3 beside it
+        with pytest.raises(InsertionError) as exc:
+            eg_insert(((1, 1), (1, 2), (1, 1), (1, 1)))
+        assert str(exc.value) == "letter 2 repeats in row 2 without 3"
+
     def test_recording_row_check_fires(self):
         # unlike the insertion tableau's, the recording tableau's strictness
         # rests on the labels, which a word from outside can repeat

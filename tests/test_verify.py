@@ -3,12 +3,14 @@ import weakref
 import pytest
 
 from pipedreams import rcgraph, verify
-from pipedreams.bijections import Bracketing
+from pipedreams.bijections import Bracketing, MalformedBracketingError
 from pipedreams.catalan import Partition, catalan, enumerate_staircase_partitions
 from pipedreams.cli import main
 from pipedreams.eg import InsertionError, eg_word
 from pipedreams.perm import make_perm, zigzag
-from pipedreams.rcgraph import NotReducedError, bottom_rcgraph, enumerate_rcgraphs
+from pipedreams.rcgraph import (
+    NotReducedError, RcGraph, bottom_rcgraph, enumerate_rcgraphs,
+)
 
 
 def raise_not_reduced(*args):
@@ -202,6 +204,21 @@ def test_each_grid_sweeps_its_strands_once_per_run(monkeypatch):
     assert len(traced) == 2055
 
 
+def test_check_7_validates_one_bracketing_per_filling(monkeypatch):
+    real = Bracketing.__init__
+    built = []
+
+    def counted(self, letters, pairs):
+        built.append(letters)
+        real(self, letters, pairs)
+
+    monkeypatch.setattr(Bracketing, "__init__", counted)
+    assert all(r.passed for r in verify.run_checks("all", 8))
+    # 2,055 fillings for n = 1..8: [7] checks the bracketing of each, and
+    # compares its transpose's pairs with the reverse unchecked
+    assert len(built) == 2055
+
+
 def test_check_3_sweeps_every_filling_against_the_zigzag(monkeypatch):
     real = rcgraph._trace
     bottom = bottom_rcgraph(3).rows
@@ -246,6 +263,39 @@ def test_check_7_catches_a_corrupt_reverse_bracketing(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(verify, "reverse_bracketing", corrupt)
+    (result,) = verify.run_checks("transpose", 4)
+    assert not result.passed
+    assert result.detail == "n=3: transpose is not string reversal"
+
+
+def test_check_7_catches_a_transpose_that_is_the_filling(monkeypatch):
+    monkeypatch.setattr(RcGraph, "transpose", lambda d: d)
+    (result,) = verify.run_checks("transpose", 4)
+    assert not result.passed
+    # every bracketing of 1..n+1 but the self-reverse ones: (1 2) at n = 1
+    # and ((1 2)(3 4)) at n = 3, none at n = 2 or 4 (a self-reverse tree
+    # has an odd number of pairs)
+    failing = {2: 2, 3: 4, 4: 14}
+    assert result.detail == "; ".join(
+        f"n={n}: transpose is not string reversal"
+        for n, count in failing.items() for _ in range(count)
+    )
+
+
+def test_check_7_rejects_malformed_transposed_pairs(monkeypatch):
+    real = verify._elbow_pairs
+    target = enumerate_rcgraphs(zigzag(3))[2].transpose()
+
+    def corrupt(d):
+        m, pairs = real(d)
+        if d == target:
+            return m, pairs[:1] * 2 + pairs[2:]
+        return m, pairs
+
+    m, pairs = corrupt(target)
+    with pytest.raises(MalformedBracketingError, match="appears twice"):
+        Bracketing(m + 1, tuple(pairs))
+    monkeypatch.setattr(verify, "_elbow_pairs", corrupt)
     (result,) = verify.run_checks("transpose", 4)
     assert not result.passed
     assert result.detail == "n=3: transpose is not string reversal"
