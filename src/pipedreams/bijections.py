@@ -143,8 +143,9 @@ def partition_to_dyck(p: Partition, n: int) -> DyckPath:
     _check_staircase(p, n)
     steps: list[str] = []
     h = 0
-    for k in range(1, n + 1):
-        target = n - p.part(k)
+    # p fits, so it has at most n parts; the parts past its last are 0
+    for part in p.parts + (0,) * (n - len(p.parts)):
+        target = n - part
         steps.append("U" * (target - h))
         steps.append("R")
         h = target

@@ -40,10 +40,6 @@ class Partition(Value):
     def size(self) -> int:
         return sum(self.parts)
 
-    def part(self, k: int) -> int:
-        """The k-th part, 1-indexed; zero past the last part."""
-        return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
-
     def to_json(self) -> list[int]:
         return list(self.parts)
 

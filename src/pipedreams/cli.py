@@ -12,16 +12,17 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
 
   --perm (enumerate, schubert, specialize)  size 9; worst measured case
       1,3,2,9,8,7,6,5,4 (163,592 fillings): enumerate --format json
-      3.2-3.6 s, 59 MB
+      1.8-2.1 s CPU and 59 MB over nine runs by os.wait4
   catalan --n  5000 (the value has about 3,000 digits; printing stops
       working near 7,150)
   catalan --n with --q  80, 0.15 s and 22 MB; kept at 80, although
       larger n now fits the rule (120 takes 0.6 s and 57 MB in process)
   biject --n  10 for the whole family, whose items are written in batches
-      as they are built: 0.6-2.0 s and 23 MB, --to eg being the slowest
-      target; 450 for one --rc grid (--to eg, the slowest, takes 2.5-2.8 s
-      and 40 MB on five grids); an --rc file is read up to m(m+3)/2 + 16
-      bytes, m = --n + 1, the largest grid for S_m and 16 extra newlines
+      as they are built: 0.6-1.9 s CPU and 22 MB, --to eg being the slowest
+      target (1.4-1.9 s over six runs by os.wait4); 450 for one --rc grid
+      (--to eg, the slowest, takes 2.5-2.9 s CPU and 40 MB on five grids);
+      an --rc file is read up to m(m+3)/2 + 16 bytes, m = --n + 1, the
+      largest grid for S_m and 16 extra newlines
   multiplicity --n  17, 3.4-4.0 s and 38 MB (18 takes 6.5-8.2 s and 61 MB
       in process)
   verify --max-n  10, 2.6-3.5 s CPU and 26 MB over five runs by os.wait4

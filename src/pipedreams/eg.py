@@ -53,25 +53,36 @@ class NonPartitionBoxesError(ValueError):
 
 
 class Tableau(Value):
-    """A filling of a partition shape with positive integers."""
+    """A filling of a partition shape with positive integers.
 
-    __slots__ = ("rows",)
+    ``_recorded`` is True only on a recording tableau that ``eg_insert``
+    returned, whose insertion rows (the columns of ``rows``) it has checked
+    strict; it is not a field, so equality, hash, repr and pickling ignore
+    it, and every other tableau, an unpickled copy too, is False.
+    """
+
+    __slots__ = ("rows", "_recorded")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...] = ()) -> None:
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
+        _set_recorded(self, False)
         for a, b in zip(rows, rows[1:]):
             if len(b) > len(a):
                 raise ValueError("row lengths must weakly decrease")
         if not all(rows):
             raise ValueError("empty rows are not stored")
-        _check_positive(rows)
+        if rows and min(map(min, rows)) < 1:
+            raise ValueError("entries must be positive")
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...],
+                 recorded: bool = False) -> Tableau:
         """Wrap rows already known to be non-empty, partition-shaped and
         positive, skipping the checks of ``__init__``."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "rows", rows)
+        # the slots' own setters, which the raising __setattr__ does not guard
+        _set_rows(out, rows)
+        _set_recorded(out, recorded)
         return out
 
     @property
@@ -82,10 +93,8 @@ class Tableau(Value):
         return [list(r) for r in self.rows]
 
 
-def _check_positive(rows) -> None:
-    """The one check of ``Tableau`` that ``eg_insert`` runs on its output."""
-    if rows and min(map(min, rows)) < 1:
-        raise ValueError("entries must be positive")
+_set_rows = Tableau.rows.__set__
+_set_recorded = Tableau._recorded.__set__
 
 
 def _transposed(rows) -> tuple[tuple[int, ...], ...]:
@@ -166,11 +175,13 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     # under one of row r), a row is only made with a letter in it, and Q
     # grows where P does, so q, built as returned, is P's shape transposed.
     # Of Tableau's checks only "entries must be positive" is left to run:
-    # letters and labels from outside can be <= 0.
-    p, q = _transposed(p_rows), tuple(map(tuple, q_cols))
-    _check_positive(p)
-    _check_positive(q)
-    return Tableau._trusted(p), Tableau._trusted(q)
+    # letters and labels from outside can be <= 0.  P is strict both ways,
+    # so its least entry is its corner; the Q rows just checked put every
+    # label above the one heading its row, in Q's first insertion column.
+    p = _transposed(p_rows)
+    if p and (p[0][0] < 1 or min(q_cols[0]) < 1):
+        raise ValueError("entries must be positive")
+    return Tableau._trusted(p), Tableau._trusted(tuple(map(tuple, q_cols)), True)
 
 
 def evacuate(q: Tableau, n: int) -> BiWord:
@@ -187,13 +198,16 @@ def evacuate(q: Tableau, n: int) -> BiWord:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p_ref = [list(range(r + 3, n + 2)) for r in range(n - 1)]
+    top = list(range(3, n + 2))
+    p_ref = [top[r:] for r in range(n - 1)]
     rows = q.rows
     if q.shape != tuple(range(n - 1, 0, -1)):
         raise InvalidQTableauError(
             f"shape {tuple(map(len, _transposed(rows)))} is not the staircase of {n}"
         )
-    if not all(all(map(lt, a, b)) for a, b in zip(rows, rows[1:])):
+    # eg_insert has checked the insertion rows of a q it recorded
+    if not q._recorded and not all(
+            all(map(lt, a, b)) for a, b in zip(rows, rows[1:])):
         bad = next(r for r in _transposed(rows) if not _strict(r))
         raise InvalidQTableauError(f"labels are not strict along row {list(bad)}")
     # the insertion's rows are strict, so the biggest label left always ends

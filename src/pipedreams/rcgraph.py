@@ -213,7 +213,14 @@ class RcGraph(Value):
         )
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "crosses": [[i, j] for i, j in self.crosses()]}
+        """The size and the cross cells, row-major as ``crosses()`` lists
+        them, read from the rows without building its tuples."""
+        return {"m": self.m, "crosses": [
+            [i, j]
+            for i, row in enumerate(self.rows, start=1)
+            for j, c in enumerate(row, start=1)
+            if c
+        ]}
 
 
 _set_rows = RcGraph.rows.__set__
@@ -263,11 +270,11 @@ def _zigzag_word(n: int) -> tuple[int, ...]:
     return zigzag(n).word
 
 
-def zigzag_index(d: RcGraph, min_n: int = 0) -> int:
+def zigzag_index(d: RcGraph) -> int:
     """The n for which d is a filling of the zigzag of n; raises
-    NotZigzagError when d traces another permutation or n < min_n."""
+    NotZigzagError when d traces another permutation."""
     n = d.m - 1
-    if n < min_n or d.exit_word != _zigzag_word(n):
+    if d.exit_word != _zigzag_word(n):
         raise NotZigzagError(
             f"not a filling for the zigzag permutation of S_{d.m}"
         )
@@ -432,6 +439,7 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     2.  south, rows k..n of columns 2..n+2-k, fills the zigzag of n-k; north,
     column 1 and columns n+3-k..n+1 of rows 1..k, fills the zigzag of k-1;
     both are reindexed, and rows 1..k-1 of columns 2..n+2-k are forced crosses.
+    The zigzag of 0, the one grid of S_1, has no turn row: ValueError.
 
     Only the guard is checked, by the turn-row lemma: ``unsplit`` of fillings
     for the zigzags of n-k and k-1 is a reduced filling for the zigzag of n
@@ -440,7 +448,9 @@ def split(d: RcGraph) -> tuple[int, RcGraph, RcGraph]:
     not use the split, counts C(n) fillings for the zigzag of n, so every one
     is an image: its forced block is solid and its parts fill the zigzags.
     """
-    n = zigzag_index(d, min_n=1)
+    n = zigzag_index(d)
+    if n < 1:
+        raise ValueError("the zigzag of 0 has no turn row to split at")
     rows = d.rows
     k = max(r for r, row in enumerate(rows[:n], start=1) if not row[0])
     # Both are staircases, each row ending at an anti-diagonal or turn elbow.

@@ -17,6 +17,11 @@ def conjugate(p):
     ))
 
 
+def part(p, k):
+    """The k-th part of p, 1-indexed; zero past the last part."""
+    return p.parts[k - 1] if 1 <= k <= len(p.parts) else 0
+
+
 def elbows(d):
     """Elbow cells of d off the anti-diagonal, in row-major order."""
     return tuple(

@@ -36,7 +36,7 @@ from pipedreams.rcgraph import (
     zigzag_index,
 )
 
-from oracles import conjugate, elbows
+from oracles import conjugate, elbows, part
 
 # (crosses, partition, bracketing) for the five fillings of 1,4,3,2
 FIGURE_BIJECTIONS = [
@@ -266,7 +266,7 @@ def ref_rcgraph_of(p, n):
     for c in range(1, n + 2):
         opens.append(c)
         k = n + 1 - c
-        closes = p.part(k) - p.part(k + 1) if k else n - p.part(1)
+        closes = part(p, k) - part(p, k + 1) if k else n - part(p, 1)
         for _ in range(closes):
             opens.pop()
             rows[k][opens[-1] - 1] = False

@@ -16,7 +16,7 @@ from pipedreams.catalan import (
 )
 from pipedreams.poly import QPolynomial
 
-from oracles import conjugate
+from oracles import conjugate, part
 
 
 class TestPartition:
@@ -38,7 +38,7 @@ class TestPartition:
 
     def test_part_indexing(self):
         p = Partition((3, 1))
-        assert (p.part(1), p.part(2), p.part(3)) == (3, 1, 0)
+        assert (part(p, 1), part(p, 2), part(p, 3)) == (3, 1, 0)
         assert p.size == 4
 
     def test_staircase(self):

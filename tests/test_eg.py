@@ -1,3 +1,4 @@
+import pickle
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
@@ -159,6 +160,19 @@ class TestEgInsert:
             eg_insert(((1, 3), (1, 4)))
         assert str(exc.value) == "recording tableau has a non-strict row [1, 1]"
 
+    def test_a_label_below_1_under_the_first_insertion_row(self):
+        # 1 bumps 2 into row 2, whose box records the word's only label < 1:
+        # positivity reads all of Q's first insertion column, not its head
+        with pytest.raises(ValueError, match="^entries must be positive$"):
+            eg_insert(((1, 2), (0, 1)))
+
+    def test_a_letter_below_1_that_bumps_row_1(self):
+        # 0 bumps 2 out of row 1 and later letters go right of it: the only
+        # letter < 1 stays at P's corner, since only a smaller letter could
+        # bump it out of row 1 in its turn
+        with pytest.raises(ValueError, match="^entries must be positive$"):
+            eg_insert(((1, 2), (2, 0), (3, 3), (4, 4)))
+
 
 class TestQLabelRows:
     def test_family_all_pass(self):
@@ -214,6 +228,28 @@ class TestEvacuate:
         with pytest.raises(InvalidQTableauError):
             evacuate(Tableau(_transposed(((1, 1), (2,)))), 3)
 
+    def test_only_a_recorded_q_skips_the_strictness_scan(self):
+        # the mark is not a field: a copy built from the rows, or unpickled,
+        # equals the recorded q but is scanned, and evacuates the same
+        for n in range(1, 7):
+            for d in enumerate_rcgraphs(zigzag(n)):
+                _, q = eg_insert(eg_word(d))
+                for copy in (Tableau(q.rows), pickle.loads(pickle.dumps(q))):
+                    assert copy == q and hash(copy) == hash(q)
+                    assert repr(copy) == repr(q)
+                    assert q._recorded and not copy._recorded
+                    assert evacuate(copy, n) == evacuate(q, n), (n, d)
+
+    def test_a_built_copy_of_a_recorded_q_is_still_checked(self):
+        _, q = eg_insert(eg_word(bottom_rcgraph(4)))
+        rows = [list(r) for r in q.rows]
+        rows[1][0] = rows[0][0]  # insertion row 1 now repeats its head
+        bad = Tableau(tuple(map(tuple, rows)))
+        with pytest.raises(InvalidQTableauError) as exc:
+            evacuate(bad, 4)
+        assert str(exc.value) == "labels are not strict along row [2, 2, 4]"
+        assert outcome(evacuate, bad, 4) == outcome(ref_evacuate, bad.rows, 4)
+
 
 class TestRoundTripWork:
     """The round trip's work as counts over the zigzag-9 family: per
@@ -243,6 +279,27 @@ class TestRoundTripWork:
             d.transpose()
         assert len(family) == 4_862
         assert calls == {"_transposed": 4_862}
+
+    def test_a_recorded_q_costs_evacuate_no_strictness_comparison(
+            self, monkeypatch):
+        family = enumerate_rcgraphs(zigzag(9))
+        recorded = [eg_insert(eg_word(d))[1] for d in family]
+        compared = 0
+
+        def counted(a, b):
+            nonlocal compared
+            compared += 1
+            return a < b
+
+        monkeypatch.setattr(eg, "lt", counted)
+        for q in recorded:
+            evacuate(q, 9)
+        assert compared == 0
+        # a copy built by the constructor costs the full scan: the adjacent
+        # rows of the staircase of 9 have 7 + 6 + ... + 1 = 28 pairs
+        for q in recorded:
+            evacuate(Tableau(q.rows), 9)
+        assert compared == 4_862 * 28
 
 
 class TestEgPartition:
@@ -531,6 +588,14 @@ class TestAgainstGeneratorOracle:
             assert_agrees_on_word(word, (1, 2, 3, 4))
 
         check()
+
+    def test_every_short_biword_with_entries_below_1(self):
+        # exhaustive where the random words are sparse: positivity is read
+        # at P's corner and down Q's first insertion column only
+        pairs = list(product(range(-1, 3), range(-1, 4)))
+        for length in range(1, 4):
+            for word in product(pairs, repeat=length):
+                assert_agrees_on_word(word, (2,))
 
     def test_random_tableaux(self):
         pytest.importorskip("hypothesis")

@@ -82,10 +82,10 @@ def every_grid(m):
         yield RcGraph(tuple(rows))
 
 
-def zigzag_index_reference(d, min_n=0):
+def zigzag_index_reference(d):
     """The zigzag guard as a comparison of Permutations."""
     n = d.m - 1
-    if n < min_n or d.permutation() != zigzag(n):
+    if d.permutation() != zigzag(n):
         raise NotZigzagError(
             f"not a filling for the zigzag permutation of S_{d.m}"
         )
@@ -132,10 +132,9 @@ class TestValidate:
     def test_zigzag_guard_and_weight_on_every_grid(self, m):
         """Every grid of the S_m staircase, so every filling of S_m."""
         for d in every_grid(m):
-            for min_n in (0, 1):
-                assert outcome(zigzag_index, d, min_n) == outcome(
-                    zigzag_index_reference, d, min_n
-                ), d.rows
+            assert outcome(zigzag_index, d) == outcome(
+                zigzag_index_reference, d
+            ), d.rows
             assert d.weight() == sum(i - 1 for i, _ in d.crosses())
 
     def test_cross_on_antidiagonal_rejected(self):
@@ -478,6 +477,16 @@ class TestSplit:
         with pytest.raises(NotZigzagError):
             split(d)
 
+    def test_refuses_the_zigzag_of_0(self):
+        # the one grid of S_1 is the zigzag of 0's filling; what it lacks
+        # is a turn row
+        d = bottom_rcgraph(0)
+        assert zigzag_index(d) == 0
+        with pytest.raises(ValueError) as err:
+            split(d)
+        assert err.type is ValueError
+        assert str(err.value) == "the zigzag of 0 has no turn row to split at"
+
 
 def split_by_cross_lists(d):
     """Reference split: reindex the cross cells of each part."""
@@ -508,10 +517,12 @@ def ref_split(d):
     """The cell-by-cell split, with its guard tracing the rows directly,
     that the row slices and the exit-word memo replaced (oracle)."""
     n = d.m - 1
-    if n < 1 or _trace(d.rows) != _zigzag_word(n):
+    if _trace(d.rows) != _zigzag_word(n):
         raise NotZigzagError(
             f"not a filling for the zigzag permutation of S_{d.m}"
         )
+    if n < 1:
+        raise ValueError("the zigzag of 0 has no turn row to split at")
     k = max(r for r in range(1, n + 1) if not d.rows[r - 1][0])
     for r in range(1, k):
         for c in range(2, n + 3 - k):
