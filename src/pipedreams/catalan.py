@@ -5,9 +5,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from typing import Callable, TypeVar
 
 from .perm import Value
 from .poly import QPolynomial, _unpack
+
+T = TypeVar("T")
 
 
 class Partition(Value):
@@ -86,51 +89,46 @@ def q_catalan(n: int) -> QPolynomial:
     return total
 
 
+def fold_staircase_partitions(n: int, leaf: T, prefix: Callable[[int, T], T]) -> T:
+    """Fold a weight over the partitions inside the staircase of n by one
+    transfer up the part index k = n-1, ..., 1, as ``fold_rcgraphs`` folds
+    over pipe dreams.  Entry b of level k weighs the tails p_k, p_{k+1}, ...
+    whose first part is at most b <= n - k: entry b - 1 plus prefix(b, x), x
+    entry min(b, n - k - 1) of level k + 1, the tails that may follow part b.
+    The empty tail weighs ``leaf``; entry n - 1 of level 1 weighs them all."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    level = [leaf]
+    for k in range(n - 1, 0, -1):
+        below, level = level, [leaf]
+        for b in range(1, n - k + 1):
+            level.append(level[-1] + prefix(b, below[min(b, n - k - 1)]))
+    return level[-1]
+
+
 def q_catalan_via_partitions(n: int) -> QPolynomial:
     """The same polynomial as sum over staircase partitions p of
     q^(binom(n,2) - |p|); an independent route to q_catalan.
 
-    One bottom-up transfer over the part index k = n-1, ..., 1.  Entry b of
-    level k is the histogram of |tail| over the tails p_k, p_{k+1}, ... whose
-    first part is at most b <= n - k: entry b - 1, plus part b followed by
-    entry min(b, n - k - 1) of level k + 1, i.e. that histogram shifted by b.
-    Only level k + 1 is kept while level k is built, and no partition is
-    built.  The largest size is |staircase(n)| = binom(n, 2), so the reversed
-    histogram is the coefficient list.
-
-    Each histogram is one packed int, width bits per size.  No field
-    carries: prefixing n-1, ..., n-k+1 to a tail from part k gives a
-    distinct staircase partition, so each count is at most catalan(n).
+    ``fold_staircase_partitions`` weighs a tail by the histogram of its size,
+    one packed int of width bits per size, so part b shifts it by b fields;
+    no partition is built.  The largest size is |staircase(n)| = binom(n, 2), so the
+    reversed histogram is the coefficient list.  No field carries:
+    prefixing n-1, ..., n-k+1 to a tail from part k gives a distinct
+    staircase partition, so each count is at most catalan(n).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     width = catalan(n).bit_length()
-    level = [1]
-    for k in range(n - 1, 0, -1):
-        below, level = level, [1]
-        for b in range(1, n - k + 1):
-            level.append(level[-1] + (below[min(b, n - k - 1)] << width * b))
-    return QPolynomial(reversed(_unpack(level[-1], width)))
+    histogram = fold_staircase_partitions(n, 1, lambda b, x: x << width * b)
+    return QPolynomial(reversed(_unpack(histogram, width)))
 
 
 def enumerate_staircase_partitions(n: int) -> list[Partition]:
     """All partitions fitting inside the staircase of n, in lexicographic
     order on part sequences.  There are catalan(n) of them.
 
-    The same transfer as ``q_catalan_via_partitions``, on part tuples: level
-    k lists the tails from part k in lexicographic order, and the tails whose
-    first part is at most b are its first ``ends[b]`` entries, so each level
-    is one list.
+    ``fold_staircase_partitions`` weighs a tail by the list of the tails it
+    stands for, in order: entry b - 1, those with first part below b, leads.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    tails, ends = [()], [1]
-    for k in range(n - 1, 0, -1):
-        level = [()]
-        level_ends = [1]
-        for b in range(1, n - k + 1):
-            level.extend((b,) + t for t in tails[: ends[min(b, n - k - 1)]])
-            level_ends.append(len(level))
-        tails, ends = level, level_ends
     # a tail gets a part b >= 1 only before tails whose first part is <= b
-    return [Partition._trusted(t) for t in tails]
+    return [Partition._trusted(t) for t in fold_staircase_partitions(
+        n, [()], lambda b, tails: [(b,) + t for t in tails])]

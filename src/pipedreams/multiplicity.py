@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .catalan import q_catalan
-from .perm import Permutation, Value, local_equations_condition, longest_element, zigzag
+from .perm import Permutation, local_equations_condition, longest_element, zigzag
 from .poly import QPolynomial, schubert_specialization
 from .rcgraph import count_rcgraphs, turn_row_shift
 
@@ -36,7 +37,7 @@ def schubert_multiplicity_at_identity(w: Permutation) -> int:
     return count_rcgraphs(longest_element(w.size) * w)
 
 
-class SpecializationReport(Value):
+class SpecializationReport(NamedTuple):
     """Outcome of checking the principal specialization of the zigzag
     Schubert polynomial against q^binom(n,3) times the q-Catalan polynomial.
 
@@ -45,13 +46,12 @@ class SpecializationReport(Value):
     q^e(k) F_{k-1} F_{n-k} with e(k) = ``turn_row_shift(n, k)``.
     """
 
-    __slots__ = ("n", "lhs", "rhs", "equal", "count", "recurrence_ok")
-
-    def __init__(self, n: int, lhs: QPolynomial, rhs: QPolynomial, equal: bool,
-                 count: int, recurrence_ok: bool) -> None:
-        values = (n, lhs, rhs, equal, count, recurrence_ok)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    n: int
+    lhs: QPolynomial
+    rhs: QPolynomial
+    equal: bool
+    count: int
+    recurrence_ok: bool
 
 
 @lru_cache(maxsize=None)

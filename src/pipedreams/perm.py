@@ -13,7 +13,8 @@ class NotAPermutationError(ValueError):
 class Value:
     """Base of the immutable value classes: equality, hash and repr read the
     fields, the slots not named with a leading underscore, as a frozen
-    dataclass's do.  Constructors set the slots with object.__setattr__."""
+    dataclass's do.  Constructors set the slots with object.__setattr__ or,
+    in RcGraph and Tableau, the slots' own setters; plain records are NamedTuples."""
 
     __slots__ = ()
 

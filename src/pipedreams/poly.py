@@ -31,6 +31,7 @@ reads, so a width of that exponent's bit length is enough.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import zip_longest
 from math import comb
 from typing import Iterable, Mapping
 
@@ -217,23 +218,12 @@ class SparsePolynomial(Value):
         return out
 
     def __mul__(self, other: SparsePolynomial) -> SparsePolynomial:
-        """Kept only because the benchmark's traced run installs on it."""
-        data: dict[tuple[int, ...], int] = {}
+        """Kept for the benchmark's traced run; the constructor normalises."""
+        data: Counter[tuple[int, ...]] = Counter()
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                long, short = (e1, e2) if len(e1) >= len(e2) else (e2, e1)
-                exp = _strip(
-                    tuple(
-                        a + (short[k] if k < len(short) else 0)
-                        for k, a in enumerate(long)
-                    )
-                )
-                total = data.get(exp, 0) + c1 * c2
-                if total:
-                    data[exp] = total
-                else:
-                    del data[exp]
-        return SparsePolynomial._trusted(data)
+                data[tuple(map(sum, zip_longest(e1, e2, fillvalue=0)))] += c1 * c2
+        return SparsePolynomial(data)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -261,18 +251,10 @@ class SparsePolynomial(Value):
 
     def principal_specialization(self) -> QPolynomial:
         """Substitute x_i -> q^(i-1); the oracle of ``schubert_specialization``."""
-        if not self.terms:
-            return QPolynomial.zero()
-        coeffs = [0] * (
-            max(
-                sum(e * k for k, e in enumerate(exp))
-                for exp in self.terms
-            )
-            + 1
-        )
+        degrees: Counter[int] = Counter()
         for exp, coef in self.terms.items():
-            coeffs[sum(e * k for k, e in enumerate(exp))] += coef
-        return QPolynomial(tuple(coeffs))
+            degrees[sum(e * k for k, e in enumerate(exp))] += coef
+        return QPolynomial([degrees[d] for d in range(max(degrees, default=-1) + 1)])
 
     def evaluate_all_ones(self) -> int:
         """Value at x_1 = x_2 = ... = 1, i.e. the coefficient sum."""

@@ -102,15 +102,12 @@ class RcGraph(Value):
 
     @classmethod
     def from_crosses(cls, m: int, crosses: Iterable[tuple[int, int]]) -> RcGraph:
-        """Build the filling of the S_m staircase with crosses at the given cells."""
+        """Build the filling of the S_m staircase with crosses at the given
+        cells; ``__init__`` refuses a cross on the anti-diagonal."""
         cells = set()
         for i, j in crosses:
             if i < 1 or j < 1 or i + j > m + 1:
                 raise MalformedGridError(f"cell ({i}, {j}) is outside the staircase")
-            if i + j == m + 1:
-                raise CrossOnAntiDiagonalError(
-                    f"cross on the anti-diagonal cell ({i}, {j})"
-                )
             cells.add((i, j))
         rows = tuple(
             tuple((i, j) in cells for j in range(1, m + 2 - i))

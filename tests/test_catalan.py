@@ -10,11 +10,14 @@ from pipedreams.catalan import (
     catalan,
     enumerate_staircase_partitions,
     fits_staircase,
+    fold_staircase_partitions,
     q_catalan,
     q_catalan_via_partitions,
     staircase,
 )
+from pipedreams.perm import zigzag
 from pipedreams.poly import QPolynomial
+from pipedreams.rcgraph import bottom_rcgraph
 
 from oracles import conjugate, part
 
@@ -149,3 +152,18 @@ class TestStaircasePartitions:
         for n in range(7):
             parts = [p.parts for p in enumerate_staircase_partitions(n)]
             assert parts == sorted(parts)
+
+    def test_fold_counts_the_catalan_numbers(self):
+        for n in range(13):
+            assert fold_staircase_partitions(n, 1, lambda b, x: x) == catalan(n)
+
+
+@pytest.mark.parametrize("build", [
+    zigzag, bottom_rcgraph, catalan, q_catalan, enumerate_staircase_partitions,
+    lambda n: fold_staircase_partitions(n, 1, lambda b, x: x),
+], ids=["zigzag", "bottom_rcgraph", "catalan", "q_catalan",
+        "enumerate_staircase_partitions", "fold_staircase_partitions"])
+def test_negative_n_is_refused(build):
+    with pytest.raises(ValueError) as exc:
+        build(-1)
+    assert str(exc.value) == "n must be nonnegative"

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import pipedreams
+from pipedreams import cli
 from pipedreams.cli import _item, main
 from pipedreams.perm import zigzag
+from pipedreams.poly import SparsePolynomial
 from pipedreams.rcgraph import bottom_rcgraph, enumerate_rcgraphs
 
 ENUMERATE_ASCII = """\
@@ -121,7 +123,9 @@ def test_biject_rc_missing_file(capsys, tmp_path):
                  "position 0: invalid start byte"),
     (b"+++\n.\n", ": line 1 has 3 characters, expected 2"),
     (b"+.\n.\n", ": not a filling for the zigzag permutation of S_2"),
-], ids=["undecodable", "malformed", "not-zigzag"])
+    (b"", ": empty text"),
+    (b"\n\n\n", ": empty text"),
+], ids=["undecodable", "malformed", "not-zigzag", "empty", "newlines-only"])
 def test_biject_rc_bad_content_names_the_flag(capsys, tmp_path, content, reason):
     rc = tmp_path / "grid.txt"
     rc.write_bytes(content)
@@ -129,6 +133,24 @@ def test_biject_rc_bad_content_names_the_flag(capsys, tmp_path, content, reason)
                          "--rc", str(rc))
     assert (code, out) == (1, "")
     assert err == f"error: --rc file {rc}{reason}\n"
+
+
+def test_biject_rc_grid_of_another_group_is_refused(capsys, tmp_path):
+    rc = tmp_path / "s2.txt"
+    rc.write_text("..\n.\n")  # the zigzag of 1, a grid for S_2
+    code, out, err = run(capsys, "biject", "--n", "3", "--to", "partition",
+                         "--rc", str(rc))
+    assert (code, out) == (1, "")
+    assert err == "error: --rc grid is for S_2, but --n 3 needs S_4\n"
+
+
+def test_schubert_oracle_disagreement_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "schubert_via_divided_differences",
+                        lambda w: SparsePolynomial())
+    code, out, err = run(capsys, "schubert", "--perm", "1,4,3,2", "--oracle")
+    assert code == 2
+    assert out == SCHUBERT_ORACLE.replace("agreement: yes", "agreement: no")
+    assert err == "divided-difference oracle disagrees\n"
 
 
 def test_biject_rc_file(capsys, tmp_path):

@@ -55,6 +55,39 @@ class TestSparsePolynomial:
         ) == SparsePolynomial({(2,): 1, (0, 2): -1})
         assert SparsePolynomial({(): 1}) * x2 == x2
 
+    def test_product_and_specialization_match_sympy(self):
+        pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        xs = sympy.symbols("x1:5")
+        q = sympy.Symbol("q")
+        # keys of 0..4 variables, so trailing zeros and unequal lengths occur
+        exponents = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+        polys = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+
+        def expr(terms):
+            return sum(
+                (c * sympy.prod(x**e for x, e in zip(xs, exp)) for exp, c in terms.items()),
+                sympy.Integer(0),
+            )
+
+        @settings(max_examples=100, deadline=None)
+        @given(a=polys, b=polys)
+        def check(a, b):
+            product = sympy.Poly(sympy.expand(expr(a) * expr(b)), *xs)
+            assert SparsePolynomial(a) * SparsePolynomial(b) == SparsePolynomial(
+                {exp: int(c) for exp, c in product.terms()}
+            )
+            fq = expr(a).subs({x: q**k for k, x in enumerate(xs)}, simultaneous=True)
+            coeffs = sympy.Poly(sympy.expand(fq), q).all_coeffs()[::-1]
+            assert SparsePolynomial(a).principal_specialization() == QPolynomial(
+                int(c) for c in coeffs
+            )
+
+        check()
+
     def test_divided_difference_of_symmetric_is_zero(self):
         # x1 x2 + x1 + x2
         sym = SparsePolynomial({(1, 1): 1, (1,): 1, (0, 1): 1})

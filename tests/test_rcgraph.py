@@ -138,8 +138,29 @@ class TestValidate:
             assert d.weight() == sum(i - 1 for i, _ in d.crosses())
 
     def test_cross_on_antidiagonal_rejected(self):
-        with pytest.raises(CrossOnAntiDiagonalError):
+        with pytest.raises(CrossOnAntiDiagonalError) as exc:
             RcGraph.from_crosses(4, [(1, 4)])
+        assert str(exc.value) == "cross on the anti-diagonal cell (1, 4)"
+
+    @pytest.mark.parametrize("crosses, error, message", [
+        # every cell is placed before the grid names its topmost bad row
+        ([(3, 2), (1, 4)], CrossOnAntiDiagonalError,
+         "cross on the anti-diagonal cell (1, 4)"),
+        ([(1, 4), (9, 9)], MalformedGridError, "cell (9, 9) is outside the staircase"),
+    ], ids=["topmost-anti-diagonal", "outside-before-anti-diagonal"])
+    def test_several_bad_cells(self, crosses, error, message):
+        with pytest.raises(error) as exc:
+            RcGraph.from_crosses(4, crosses)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        ((), "a pipe dream needs at least one row"),
+        (((False,), (False,)), "row 1 has 1 cells, expected 2"),
+    ], ids=["no-rows", "short-row"])
+    def test_malformed_rows_rejected(self, rows, message):
+        with pytest.raises(MalformedGridError) as exc:
+            RcGraph(rows)
+        assert str(exc.value) == message
 
     def test_outside_staircase_rejected(self):
         with pytest.raises(MalformedGridError):

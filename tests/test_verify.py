@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import pytest
@@ -6,8 +7,9 @@ from pipedreams import rcgraph, verify
 from pipedreams.bijections import Bracketing, MalformedBracketingError
 from pipedreams.catalan import Partition, catalan, enumerate_staircase_partitions
 from pipedreams.cli import main
-from pipedreams.eg import InsertionError, eg_word
-from pipedreams.perm import make_perm, zigzag
+from pipedreams.eg import InsertionError, Tableau, eg_word
+from pipedreams.perm import dominant_singular, make_perm, zigzag
+from pipedreams.poly import QPolynomial, SparsePolynomial
 from pipedreams.rcgraph import (
     NotReducedError, RcGraph, bottom_rcgraph, enumerate_rcgraphs,
 )
@@ -382,3 +384,90 @@ def test_check_6_lists_its_reading_direction_diagnostic_last(monkeypatch):
         False, "reading-direction diagnostic: usable=['right-to-left', 'left-to-right']"
     )
     assert reports == [3, 3]
+
+
+def on_call(k, real, change):
+    """real, with the result of its k-th call passed through change."""
+    calls = itertools.count(1)
+
+    def mutant(*args):
+        out = real(*args)
+        return change(out, *args) if next(calls) == k else out
+
+    return mutant
+
+
+def on_args(real, bad_args, change):
+    """real, with its result at bad_args passed through change."""
+    return lambda *args: change(real(*args)) if args == bad_args else real(*args)
+
+
+FIGURE = make_perm((1, 4, 3, 2))
+FIGURE_MONOMIALS = "{(0, 2, 1): 1, (1, 1, 1): 1, (2, 0, 1): 1, (1, 2): 1, (2, 1): 1}"
+P21 = Partition((2, 1))
+
+# One mutant per FAIL message of run_checks("all", 4): the name patched in
+# verify, how its real value is corrupted, the check and its whole detail.
+FAIL_MUTANTS = [
+    ("enumerate_rcgraphs", lambda real: on_args(real, (FIGURE,), lambda gs: gs[1:]),
+     "1", "expected 5 fillings, found 4; monomial multiset "
+     "{(2, 0, 1): 1, (1, 2): 1, (1, 1, 1): 1, (0, 2, 1): 1} != " + FIGURE_MONOMIALS),
+    ("enumerate_rcgraphs",
+     lambda real: on_args(real, (FIGURE,), lambda gs: gs[:4] + gs[:1]),
+     "1", "monomial multiset "
+     "{(2, 1): 2, (2, 0, 1): 1, (1, 2): 1, (1, 1, 1): 1} != " + FIGURE_MONOMIALS),
+    ("verify_catalan_specialization",
+     lambda real: on_args(real, (3,), lambda r: r._replace(equal=False)),
+     "2", "n=3: specialization mismatch"),
+    ("verify_catalan_specialization",
+     lambda real: on_args(real, (3,), lambda r: r._replace(recurrence_ok=False)),
+     "2", "n=3: turn-row recurrence mismatch"),
+    ("enumerate_rcgraphs", lambda real: on_args(real, (zigzag(3),), lambda gs: gs[1:]),
+     "3", "n=3: 4 fillings, expected 5"),
+    ("schubert_via_divided_differences",
+     lambda real: on_args(real, (make_perm((2, 1, 3, 4)),), lambda f: SparsePolynomial()),
+     "4", "S_4 mismatch at 2,1,3,4"),
+    ("schubert_via_divided_differences",
+     lambda real: on_args(real, (zigzag(4),), lambda f: SparsePolynomial()),
+     "4", "zigzag mismatch at n=4"),
+    ("fits_staircase", lambda real: on_args(real, (P21, 3), lambda ok: False),
+     "5", "n=3: [2,1] outside the staircase"),
+    ("dyck_to_partition",
+     lambda real: lambda path: Partition() if real(path) == P21 and path.n == 3
+     else real(path),
+     "5d", "n=3: path round trip fails at [2,1]"),
+    ("partition_to_dyck",
+     lambda real: lambda p, n: real(Partition() if (p, n) == (P21, 3) else p, n),
+     "5d", "n=3: path round trip fails at [2,1]; n=3: area transport fails at [2,1]"),
+    ("q_label_row_check", lambda real: on_call(1, real, lambda ok, q: False),
+     "6", "n=1: label-row property fails"),
+    ("evacuate", lambda real: on_call(1, real, lambda word, q, n: word + ((1, 1),)),
+     "6", "n=1: evacuation does not invert insertion"),
+    ("eg_insert",
+     lambda real: on_call(2, real, lambda pq, word: (Tableau(((9,),)), pq[1])),
+     "6", "n=2: insertion tableau is not constant"),
+    ("staircase", lambda real: lambda n: real(n + (n == 3)),
+     "6", "n=3: insertion tableau shape (2, 1)"),
+    ("turn_row_shift", lambda real: lambda n, k: real(n, k) + ((n, k) == (3, 1)),
+     "8", "n=3: weight identity fails at k=1; n=3: weight identity fails at k=1"),
+    ("local_equations_condition",
+     lambda real: on_args(real, (dominant_singular(2),), lambda ok: False),
+     "9", "n=2: local-equations condition fails"),
+    ("schubert_multiplicity_at_identity",
+     lambda real: on_args(real, (dominant_singular(3),), lambda count: count + 1),
+     "9", "n=3: multiplicity is not catalan(3)"),
+    ("q_catalan_via_partitions",
+     lambda real: on_args(real, (5,), lambda f: f + QPolynomial.one()),
+     "10", "n=5: the two q-Catalan routes differ"),
+    ("q_catalan", lambda real: on_args(real, (11,), lambda f: f + QPolynomial.one()),
+     "10", "n=11: value at q=1 differs from catalan(n)"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, ident, detail", FAIL_MUTANTS,
+                         ids=[f"{m[2]}-{m[0]}-{i}" for i, m in enumerate(FAIL_MUTANTS)])
+def test_each_fail_message_is_reached_by_a_mutant(monkeypatch, name, mutate, ident, detail):
+    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
+    (result,) = [r for r in verify.run_checks("all", 4) if r.ident == ident]
+    assert not result.passed
+    assert result.detail == detail
