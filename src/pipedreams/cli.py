@@ -23,8 +23,8 @@ exits 1 with "error: --<flag> ... exceeds the limit of N".
       (--to eg, the slowest, takes 2.5-2.9 s CPU and 40 MB on five grids);
       an --rc file is read up to m(m+3)/2 + 16 bytes, m = --n + 1, the
       largest grid for S_m and 16 extra newlines
-  multiplicity --n  17, 3.4-4.0 s and 38 MB (18 takes 6.5-8.2 s and 61 MB
-      in process)
+  multiplicity --n  17, 2.0-2.4 s CPU and 38 MB over eight runs by
+      os.wait4 (18 takes 4.3 s and 61 MB in process)
   verify --max-n  10, 2.6-3.5 s CPU and 26 MB over five runs by os.wait4
       (9 takes 0.6-0.7 s and 18.7 MB)
 """

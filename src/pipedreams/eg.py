@@ -218,6 +218,12 @@ def evacuate(q: Tableau, n: int) -> BiWord:
     boxes = sorted(
         (a << shift | r for row in rows for r, a in enumerate(row)), reverse=True
     )
+    # The passing removals leave a partition each time, so read backwards
+    # they form a standard tableau Q' of the staircase, and by Edelman and
+    # Greene (1987) some reduced word inserts to (p_ref, Q').  So each pass
+    # undoes one step of that insertion and no rewind fails: z beside z - 1
+    # was bumped by z - 1, which left the row alone, and any other z was
+    # displaced by the largest smaller entry, which sits in column pos - 1.
     pairs: list[tuple[int, int]] = []
     for key in boxes:
         a, box_row = key >> shift, key & mask
@@ -230,16 +236,8 @@ def evacuate(q: Tableau, n: int) -> BiWord:
             row = p_ref[r]
             pos = bisect_left(row, z)
             if pos < len(row) and row[pos] == z:
-                if pos == 0 or row[pos - 1] != z - 1:
-                    raise InvalidQTableauError(
-                        f"cannot rewind the insertion of {z} through row {r + 1}"
-                    )
                 z = z - 1
             else:
-                if pos == 0:
-                    raise InvalidQTableauError(
-                        f"cannot rewind the insertion of {z} through row {r + 1}"
-                    )
                 z, row[pos - 1] = row[pos - 1], z
         pairs.append((a, z))
     pairs.reverse()

@@ -19,13 +19,13 @@ Python int with a fixed ``width`` of bits per variable, x_k in bits
 width*(k-1) up to width*k.  Swapping x_i and x_{i+1} in a key with exponents
 a, b there is then the single addition key + (a - b) * step, with
 step = 2^(width*i) - 2^(width*(i-1)), and each key of a quotient block is
-one more step from the last.  The kernel is exact by construction and
-checked anyway: one pass over the terms builds the quotient Q and the
-difference f - s_i f, and ``_check_remainder`` confirms
-f - s_i f = (x_i - x_{i+1}) Q coefficient by coefficient.  No field may
-carry into the next; that holds because every exponent the kernel writes,
-quotient and remainder keys included, is at most the largest exponent it
-reads, so a width of that exponent's bit length is enough.
+one more step from the last.  One pass over the terms builds the quotient
+Q and the difference f - s_i f, and ``_check_remainder`` confirms
+f - s_i f = (x_i - x_{i+1}) Q coefficient by coefficient.  That catches a
+sign or offset slip, not a carry: on packed ints the product telescopes to
+f - s_i f whatever the fields hold.  Only the width rule prevents carries:
+every exponent the kernel writes, quotient and remainder keys included, is
+at most the largest exponent it reads, so its bit length is enough.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _check_remainder(
     ArithmeticError unless every entry cancels.
 
     ``rest`` holds f - s_i f; both maps key packed exponent vectors of the
-    given field width.
+    given field width.  A carry between fields passes unseen.
     """
     low = 1 << (width * (i - 1))
     step = (low << width) - low
@@ -94,15 +94,16 @@ def _check_remainder(
 def _divided_difference(
     terms: Mapping[int, int], i: int, width: int
 ) -> dict[int, int]:
-    """(f - s_i f) / (x_i - x_{i+1}) on packed keys, zero coefficients dropped.
+    """(f - s_i f) / (x_i - x_{i+1}) on packed keys, zero entries kept.
 
     A term x_i^a x_{i+1}^b with a != b pairs with its swap into an
     antisymmetric difference that divides termwise into the geometric block
     x_i^(a-1-t) x_{i+1}^(b+t), t < a - b, of the quotient (with the roles and
     the sign exchanged when a < b); the same pass enters +coef at the term
     and -coef at its swap into the remainder map that ``_check_remainder``
-    then cancels against the quotient.  Every written exponent is at most
-    max(a, b), so ``width`` bits per field never carry.
+    then cancels against the quotient.  Zero terms are skipped; blocks
+    that cancel leave zero entries, for the caller to drop.  Every written
+    exponent is at most max(a, b), so ``width`` bits per field never carry.
     """
     shift = width * (i - 1)
     mask = (1 << width) - 1
@@ -113,7 +114,7 @@ def _divided_difference(
     for key, coef in terms.items():
         fields = key >> shift
         d = (fields & mask) - (fields >> width & mask)
-        if not d:
+        if not (d and coef):
             continue
         swapped = key + d * step
         rest[key] = rest.get(key, 0) + coef
@@ -125,7 +126,7 @@ def _divided_difference(
             quotient[key] = quotient.get(key, 0) + coef
             key += step
     _check_remainder(rest, quotient, i, width)
-    return {key: c for key, c in quotient.items() if c}
+    return quotient
 
 
 class QPolynomial(Value):
@@ -233,10 +234,10 @@ class SparsePolynomial(Value):
 
         The terms are packed with a field width of the bit length of their
         largest exponent (1 when there is none), divided by the packed
-        kernel, which raises ArithmeticError unless the quotient passes the
-        exact remainder check, and unpacked into stripped tuples.  No
-        exponent of the quotient or the remainder exceeds the largest one of
-        f, so no field carries into the next.  Raises ValueError for i < 1.
+        kernel, which raises ArithmeticError unless the quotient Q passes the
+        remainder check, and unpacked into stripped tuples, zeros dropped.
+        No exponent of Q or the remainder exceeds the largest one of f, so
+        no field carries (unseen by the check).  Raises ValueError for i < 1.
         """
         if i < 1:
             raise ValueError(f"divided difference needs i >= 1, got i = {i}")
@@ -246,6 +247,7 @@ class SparsePolynomial(Value):
             {
                 _unpack(key, width): coef
                 for key, coef in _divided_difference(packed, i, width).items()
+                if coef
             }
         )
 
@@ -325,7 +327,7 @@ def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
 
     The chain packs x^c(v) once, with the field width of its largest
     exponent, the largest one any step reads or writes, runs every step on
-    packed keys and unpacks once at the end.
+    packed keys and unpacks once at the end, dropping zero coefficients.
     """
     word = w.word
     m = len(word)
@@ -344,5 +346,5 @@ def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
     for i in reversed(moves):
         f = _divided_difference(f, i, width)
     return SparsePolynomial._trusted(
-        {_unpack(key, width): coef for key, coef in f.items()}
+        {_unpack(key, width): coef for key, coef in f.items() if coef}
     )

@@ -10,7 +10,8 @@ the permutation w exactly when that column is w(i) for every i and no two
 strands cross twice.  Along the front of a bottom-up sweep, strands change
 order only where they cross, so a pair meeting again is out of order there:
 ``_trace`` raises when the traveler is larger than the strand it crosses,
-and ``fold_rcgraphs`` places a cross only when w(traveler) > w(b).
+and ``fold_rcgraphs``, which labels each strand by its target, places a
+cross only when the traveler's target is larger than b's.
 
 Coordinates are (row, column), 1-based, with (1, 3) meaning top row, third
 column.
@@ -300,39 +301,40 @@ def fold_rcgraphs(w: Permutation, leaf: T,
     the boundary below.  The first edge into a state is stored as
     ``extend`` returns it, so a mutable weight it returns must be new.
 
-    A cross is placed only on a pair that has not crossed yet and whose
-    targets are inverted in w.  No set of crossed pairs is kept: along the
-    front of the sweep the strands change order only by the adjacent swap
-    of a cross, and a strand enters west of every strand already there, all
-    of which carry larger labels.  So a pair has crossed exactly when the
-    larger strand is west of the smaller, which for the traveler meeting b
-    is traveler > b.  Such a pair is inverted in w, so w(traveler) < w(b),
-    and the two tests together reduce to w(traveler) > w(b).  Hence no pair
-    crosses twice.  Strands move weakly east, so a strand of a state must
-    sit weakly west of its target, at a column c(s) <= w(s).  By induction
-    along a row, the traveler entering column j has w(traveler) >= j: the
-    row's strand r has w(r) >= 1, an elbow hands over to a b with w(b) > j,
-    its one target test, and a cross keeps a traveler with
-    w(traveler) > w(b) >= j, as b came from the state below.  So every
-    strand exits north weakly west of its target, at an elbow, a cross or
-    the anti-diagonal, with no test of its own.  Above row 1, m distinct
-    columns with c(s) <= w(s) force c = w: the only state left is w^-1.
+    A strand is labelled by its target, the column w(s) it must exit at,
+    so row r's strand enters as w(r).  A cross is placed only on a pair
+    that has not crossed yet and whose targets are inverted in w.  No set
+    of crossed pairs is kept: along the front of the sweep the strands
+    change order only by the adjacent swap of a cross, and a strand enters
+    west of every strand already there, all from lower rows.  So the
+    traveler has not crossed b exactly when it comes from the higher row,
+    and then the pair is inverted exactly when traveler > b; a pair that
+    has crossed was inverted, so now traveler < b.  The two tests reduce
+    to traveler > b, and no pair crosses twice.  Strands move weakly east,
+    so an entry v of a state must sit at a column c <= v.  By induction
+    along a row, the traveler entering column j is at least j: the row's
+    strand w(r) is at least 1, an elbow hands over to a b > j, its one
+    target test, and a cross keeps a traveler > b >= j, as b came from the
+    state below.  So every strand exits north weakly west of its target,
+    at an elbow, a cross or the anti-diagonal, with no test of its own.
+    Above row 1, m distinct entries with c <= v force the identity: the
+    only state left is 1, ..., m.
     """
-    m = w.size
-    wv = (0,) + w.word
+    word = w.word
+    m = len(word)
     weights: dict[tuple[int, ...], T] = {(): leaf}
     for r in range(m, 0, -1):
         above: dict[tuple[int, ...], T] = {}
         for below, weight in weights.items():
-            fillings = [(r, (), ())]  # (traveler, top so far, cells so far)
+            fillings = [(word[r - 1], (), ())]  # (traveler, top, cells so far)
             for j, b in enumerate(below, start=1):
                 grown = []
                 for traveler, top, cells in fillings:
                     # elbow: the traveler exits north at column j, b takes over east
-                    if wv[b] > j:
+                    if b > j:
                         grown.append((b, top + (traveler,), cells + (False,)))
                     # cross: b exits north at column j, the traveler passes over it
-                    if wv[traveler] > wv[b]:
+                    if traveler > b:
                         grown.append((traveler, top + (b,), cells + (True,)))
                 fillings = grown
             # forced anti-diagonal elbow: the traveler exits at column m + 1 - r
@@ -344,7 +346,7 @@ def fold_rcgraphs(w: Permutation, leaf: T,
                 else:
                     above[top] = x
         weights = above
-    return weights[w.inverse().word]
+    return weights[tuple(range(1, m + 1))]
 
 
 def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:

@@ -216,6 +216,32 @@ class TestEvacuate:
             assert p.rows == closed, n
             assert _transposed(p.rows) == closed, n
 
+    def test_every_standard_staircase_tableau_evacuates_and_reinserts(self):
+        # the rewind has no failure branch: the passing removals of a
+        # standard q leave a partition each time, and some reduced word
+        # inserts to (staircase tableau, q).  For n <= 5 there are 788 such
+        # q; all 292,864 of n = 6 pass too
+        def standard(shape, rows, k):
+            if k > sum(shape):
+                yield Tableau(tuple(map(tuple, rows)))
+            for r, row in enumerate(rows):
+                if len(row) < shape[r] and (r == 0 or len(rows[r - 1]) > len(row)):
+                    row.append(k)
+                    yield from standard(shape, rows, k + 1)
+                    row.pop()
+
+        count = 0
+        for n in range(1, 6):
+            shape = tuple(range(n - 1, 0, -1))
+            closed = tuple(tuple(range(r + 3, n + 2)) for r in range(n - 1))
+            for q in standard(shape, [[] for _ in shape], 1):
+                word = evacuate(q, n)
+                assert outcome(ref_evacuate, q.rows, n) == ("ok", word)
+                p, again = eg_insert(word)
+                assert (p.rows, again) == (closed, q), (n, q)
+                count += 1
+        assert count == 788
+
     def test_single_box(self):
         assert evacuate(Tableau(((2,),)), 2) == ((2, 3),)
         assert evacuate(Tableau(((1,),)), 2) == ((1, 3),)
@@ -630,7 +656,8 @@ class TestAgainstGeneratorOracle:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        # staircase shapes reach the rewinding and removability raises
+        # staircase shapes reach the removability raise; no tableau reaches
+        # a failed rewind, which ref_evacuate still raises
         def staircase_rows(n):
             return st.tuples(*[
                 st.tuples(*[st.integers(1, n + 1)] * (n - 1 - k))

@@ -118,33 +118,63 @@ class TestSparsePolynomial:
         assert str(SparsePolynomial(terms)) == text
 
 
+def assert_quotients_match_sympy(polys, variables):
+    """The property that ``divided_difference(i)`` equals sympy's exact
+    quotient (f - s_i f) / (x_i - x_{i+1}) on the term maps ``polys`` draws
+    over x1 .. x_variables, checked on 100 examples."""
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    xs = sympy.symbols(f"x1:{variables + 1}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=polys, i=st.integers(1, variables - 1))
+    def check(terms, i):
+        f = sympy.Add(*(
+            c * sympy.prod(x**e for x, e in zip(xs, exp)) for exp, c in terms.items()
+        ))
+        xi, xj = xs[i - 1], xs[i]
+        swapped = f.subs({xi: xj, xj: xi}, simultaneous=True)
+        exact = sympy.Poly(sympy.cancel((f - swapped) / (xi - xj)), *xs)
+        expected = SparsePolynomial({exp: int(c) for exp, c in exact.terms()})
+        assert SparsePolynomial(terms).divided_difference(i) == expected
+
+    check()
+
+
 class TestDividedDifferenceKernel:
     def test_matches_sympy_exact_quotient(self):
         pytest.importorskip("hypothesis")
-        sympy = pytest.importorskip("sympy")
-        from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        xs = sympy.symbols("x1:5")
         exponents = st.tuples(*[st.integers(0, 3)] * 4)
-        polys = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+        assert_quotients_match_sympy(
+            st.dictionaries(exponents, st.integers(-3, 3), max_size=6), 4)
 
-        @settings(max_examples=100, deadline=None)
-        @given(terms=polys, i=st.integers(1, 3))
-        def check(terms, i):
-            f = sum(
-                (c * sympy.prod(x**e for x, e in zip(xs, exp)) for exp, c in terms.items()),
-                sympy.Integer(0),
-            )
-            xi, xj = xs[i - 1], xs[i]
-            swapped = f.subs({xi: xj, xj: xi}, simultaneous=True)
-            exact = sympy.Poly(sympy.cancel((f - swapped) / (xi - xj)), *xs)
-            expected = SparsePolynomial(
-                {exp: int(c) for exp, c in exact.terms()}
-            )
-            assert SparsePolynomial(terms).divided_difference(i) == expected
+    def test_matches_sympy_at_width_edges(self):
+        # the remainder check cannot see a field that carries, so only the
+        # width rule keeps these exact: the largest exponent sits at 2^k - 1
+        # or 2^k, where a width of one bit less carries
+        pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
 
-        check()
+        @st.composite
+        def polys(draw):
+            top = draw(st.sampled_from((1, 2, 3, 4, 7, 8, 15, 16)))
+            exponents = st.tuples(*[st.integers(0, top)] * 3)
+            terms = draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=5))
+            peak = [draw(st.integers(0, top)) for _ in range(3)]
+            peak[draw(st.integers(0, 2))] = top
+            terms[tuple(peak)] = draw(st.sampled_from((-2, -1, 1, 2)))
+            return terms
+
+        assert_quotients_match_sympy(polys(), 3)
+
+    def test_cancelled_blocks_leave_no_zero_term(self):
+        # the x1 x2 entries of the blocks of x1^3 and x1 x2^2 cancel
+        result = SparsePolynomial({(3,): 1, (1, 2): 1}).divided_difference(1)
+        assert result.terms == {(2,): 1, (0, 2): 1}
 
     @pytest.mark.parametrize(
         "terms, i, expected",
@@ -288,6 +318,13 @@ class TestOracle:
         for n in range(1, 6):
             w = zigzag(n)
             assert schubert_polynomial(w) == schubert_via_divided_differences(w)
+
+    def test_no_zero_coefficient_up_to_s6(self):
+        # the chain's steps keep entries that cancel; the route drops them
+        for m in range(1, 7):
+            for word in permutations(range(1, m + 1)):
+                terms = schubert_via_divided_differences(make_perm(word)).terms
+                assert all(terms.values()), word
 
     def test_dominant_start_is_the_code_monomial(self):
         """The start of ``schubert_via_divided_differences``: for v with a

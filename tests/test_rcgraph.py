@@ -285,8 +285,9 @@ class TestFoldWork:
     """The fold's work as counts: one ``extend`` call per row filling
     between two states, and one state per edge that is not added into a
     state already reached, counted by a weight whose ``+=`` counts.  The
-    fold has one target test, w(b) > j at an elbow; without it a strand
-    exits east of its target and the zigzag7 row reads 10,953 states."""
+    fold has one target test, b > j at an elbow, with b labelled by its
+    target; without it a strand exits east of its target and the zigzag7
+    row reads 10,953 states."""
 
     @pytest.mark.parametrize("w, states, edges", [
         (zigzag(7), 128, 320),
