@@ -119,14 +119,6 @@ class DyckPath(Value):
                 f"path {self.steps!r} does not end on the diagonal"
             )
 
-    @classmethod
-    def _trusted(cls, steps: str) -> DyckPath:
-        """Wrap steps already known to form a Dyck path, skipping the checks
-        of ``__init__``."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "steps", steps)
-        return out
-
     @property
     def n(self) -> int:
         return len(self.steps) // 2
@@ -225,16 +217,6 @@ class Bracketing(Value):
                     f"pairs {enclosing[-1]} and ({o}, {c}) overlap"
                 )
             enclosing.append((o, c))
-
-    @classmethod
-    def _trusted(cls, letters: int,
-                 pairs: tuple[tuple[int, int], ...]) -> Bracketing:
-        """Wrap sorted pairs already known to fully bracket the letters,
-        skipping the checks of ``__init__``."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "letters", letters)
-        object.__setattr__(out, "pairs", pairs)
-        return out
 
     def __str__(self) -> str:
         """Brackets around every factor of two or more letters, and a space

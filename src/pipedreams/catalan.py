@@ -31,14 +31,6 @@ class Partition(Value):
         if self.parts and self.parts[-1] <= 0:
             raise ValueError("parts must be positive")
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
-        """Wrap parts already known to be positive and weakly decreasing,
-        skipping the checks of ``__init__``."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "parts", parts)
-        return out
-
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -58,14 +58,14 @@ class Tableau(Value):
     ``_recorded`` is True only on a recording tableau that ``eg_insert``
     returned, whose insertion rows (the columns of ``rows``) it has checked
     strict; it is not a field, so equality, hash, repr and pickling ignore
-    it, and every other tableau, an unpickled copy too, is False.
+    it, and on every other tableau, an unpickled copy too, it is None.
     """
 
     __slots__ = ("rows", "_recorded")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...] = ()) -> None:
-        _set_rows(self, rows)
-        _set_recorded(self, False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_recorded", None)
         for a, b in zip(rows, rows[1:]):
             if len(b) > len(a):
                 raise ValueError("row lengths must weakly decrease")
@@ -74,27 +74,12 @@ class Tableau(Value):
         if rows and min(map(min, rows)) < 1:
             raise ValueError("entries must be positive")
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...],
-                 recorded: bool = False) -> Tableau:
-        """Wrap rows already known to be non-empty, partition-shaped and
-        positive, skipping the checks of ``__init__``."""
-        out = cls.__new__(cls)
-        # the slots' own setters, which the raising __setattr__ does not guard
-        _set_rows(out, rows)
-        _set_recorded(out, recorded)
-        return out
-
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-
-_set_rows = Tableau.rows.__set__
-_set_recorded = Tableau._recorded.__set__
 
 
 def _transposed(rows) -> tuple[tuple[int, ...], ...]:
@@ -110,9 +95,10 @@ def _transposed(rows) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _strict(seq) -> bool:
-    """Whether seq strictly increases."""
-    return all(map(lt, seq, seq[1:]))
+def _first_non_strict_row(q_rows) -> list[int]:
+    """The first insertion row, a column of q_rows, that does not strictly
+    increase, for the message of a recording tableau that has one."""
+    return list(next(r for r in _transposed(q_rows) if not all(map(lt, r, r[1:]))))
 
 
 def eg_word(d: RcGraph, direction: str = RIGHT_TO_LEFT) -> BiWord:
@@ -169,8 +155,8 @@ def eg_insert(word: BiWord) -> tuple[Tableau, Tableau]:
     # Q rows are checked, between adjacent rows of q: labels from outside
     # can break them.  Only a failure rebuilds the rows, to name the first.
     if not all(all(map(lt, a, b)) for a, b in zip(q_cols, q_cols[1:])):
-        bad = next(r for r in _transposed(q_cols) if not _strict(r))
-        raise InsertionError(f"recording tableau has a non-strict row {list(bad)}")
+        raise InsertionError("recording tableau has a non-strict row "
+                             f"{_first_non_strict_row(q_cols)}")
     # So P is partition-shaped (a box that ends row r+1 sits at c' <= idx,
     # under one of row r), a row is only made with a letter in it, and Q
     # grows where P does, so q, built as returned, is P's shape transposed.
@@ -208,8 +194,8 @@ def evacuate(q: Tableau, n: int) -> BiWord:
     # eg_insert has checked the insertion rows of a q it recorded
     if not q._recorded and not all(
             all(map(lt, a, b)) for a, b in zip(rows, rows[1:])):
-        bad = next(r for r in _transposed(rows) if not _strict(r))
-        raise InvalidQTableauError(f"labels are not strict along row {list(bad)}")
+        raise InvalidQTableauError(
+            f"labels are not strict along row {_first_non_strict_row(rows)}")
     # the insertion's rows are strict, so the biggest label left always ends
     # its row; p_ref loses a box wherever q does, so its row lengths track
     # what is left.  A box's key packs its label over its insertion row r < n.

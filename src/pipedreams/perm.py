@@ -13,14 +13,42 @@ class NotAPermutationError(ValueError):
 class Value:
     """Base of the immutable value classes: equality, hash and repr read the
     fields, the slots not named with a leading underscore, as a frozen
-    dataclass's do.  Constructors set the slots with object.__setattr__ or,
-    in RcGraph and Tableau, the slots' own setters; plain records are NamedTuples."""
+    dataclass's do; plain records are NamedTuples.
+
+    An instance is made by one of two paths.  A validating ``__init__``
+    checks its arguments and sets the slots with ``object.__setattr__``.
+    ``_trusted``, built once per class from the slots' own setters, which
+    the raising ``__setattr__`` does not guard, skips the checks for a
+    value its caller's code makes valid: ``_trusted(a)`` sets the one slot
+    of a one-slot class, ``_trusted(a, b=None)`` both of a two-slot class.
+    A private second slot holds None where its value is not known.
+    """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        slots = cls.__slots__
+        if not 1 <= len(slots) <= 2:
+            raise TypeError(f"{cls.__name__} has {len(slots)} slots, not 1 or 2")
+        cls._fields = fields = tuple(s for s in slots if s[0] != "_")
         cls._key = attrgetter(*fields)  # one field's value, or a tuple of them
+        new = object.__new__
+        set_a = getattr(cls, slots[0]).__set__
+        if len(slots) == 1:
+            def _trusted(a):
+                out = new(cls)
+                set_a(out, a)
+                return out
+        else:
+            set_b = getattr(cls, slots[1]).__set__
+
+            def _trusted(a, b=None):
+                out = new(cls)
+                set_a(out, a)
+                set_b(out, b)
+                return out
+
+        cls._trusted = staticmethod(_trusted)
 
     def _values(self) -> tuple:
         return (self._key(self),) if len(self._fields) == 1 else self._key(self)
@@ -53,7 +81,8 @@ class Permutation(Value):
     are safe to share freely and to use as dictionary keys.
     """
 
-    __slots__ = ("word", "_length")  # _length is set on the first read
+    # _length: unset by __init__, None by _trusted, set on the first read
+    __slots__ = ("word", "_length")
 
     def __init__(self, word: tuple[int, ...]) -> None:
         object.__setattr__(self, "word", word)
@@ -76,21 +105,17 @@ class Permutation(Value):
     @property
     def length(self) -> int:
         """Inversion count #{(i, j) : i < j, w(i) > w(j)}, counted once."""
-        try:
-            return self._length
-        except AttributeError:
-            pass
-        w = self.word
-        n = len(w)
-        length = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        object.__setattr__(self, "_length", length)
+        length = getattr(self, "_length", None)
+        if length is None:
+            w = self.word
+            n = len(w)
+            length = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+            object.__setattr__(self, "_length", length)
         return length
 
     def inverse(self) -> Permutation:
         # a rearrangement of 1..m already, so __init__'s check is skipped
-        out = object.__new__(Permutation)
-        object.__setattr__(out, "word", _inverse_word(self.word))
-        return out
+        return Permutation._trusted(_inverse_word(self.word))
 
     def __mul__(self, other: Permutation) -> Permutation:
         """Composition under the convention (u * w)(i) = u(w(i))."""

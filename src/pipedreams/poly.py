@@ -211,13 +211,6 @@ class SparsePolynomial(Value):
                 data.pop(key, None)
         object.__setattr__(self, "terms", data)
 
-    @classmethod
-    def _trusted(cls, terms: dict[tuple[int, ...], int]) -> SparsePolynomial:
-        """Wrap a map that is already stripped and free of zero coefficients."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
     def __mul__(self, other: SparsePolynomial) -> SparsePolynomial:
         """Kept for the benchmark's traced run; the constructor normalises."""
         data: Counter[tuple[int, ...]] = Counter()
@@ -230,26 +223,13 @@ class SparsePolynomial(Value):
         return bool(self.terms)
 
     def divided_difference(self, i: int) -> SparsePolynomial:
-        """Apply (f - s_i f) / (x_i - x_{i+1}) with s_i swapping x_i, x_{i+1}.
-
-        The terms are packed with a field width of the bit length of their
-        largest exponent (1 when there is none), divided by the packed
-        kernel, which raises ArithmeticError unless the quotient Q passes the
-        remainder check, and unpacked into stripped tuples, zeros dropped.
-        No exponent of Q or the remainder exceeds the largest one of f, so
-        no field carries (unseen by the check).  Raises ValueError for i < 1.
+        """Apply (f - s_i f) / (x_i - x_{i+1}) with s_i swapping x_i, x_{i+1},
+        as a chain of the one move i.  Raises ArithmeticError unless the
+        quotient passes the remainder check, and ValueError for i < 1.
         """
         if i < 1:
             raise ValueError(f"divided difference needs i >= 1, got i = {i}")
-        width = max((e for exp in self.terms for e in exp), default=1).bit_length()
-        packed = {_pack(exp, width): coef for exp, coef in self.terms.items()}
-        return SparsePolynomial._trusted(
-            {
-                _unpack(key, width): coef
-                for key, coef in _divided_difference(packed, i, width).items()
-                if coef
-            }
-        )
+        return _divided_difference_chain(self.terms, (i,))
 
     def principal_specialization(self) -> QPolynomial:
         """Substitute x_i -> q^(i-1); the oracle of ``schubert_specialization``."""
@@ -325,9 +305,8 @@ def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
     u, the divided differences for the moves, taken in reverse order, lead
     from x^c(v) back to S_w.
 
-    The chain packs x^c(v) once, with the field width of its largest
-    exponent, the largest one any step reads or writes, runs every step on
-    packed keys and unpacks once at the end, dropping zero coefficients.
+    ``_divided_difference_chain`` runs the moves on x^c(v), whose largest
+    exponent is the largest one any step reads or writes.
     """
     word = w.word
     m = len(word)
@@ -341,9 +320,24 @@ def schubert_via_divided_differences(w: Permutation) -> SparsePolynomial:
             i = max(i - 1, 1)
         else:
             i += 1
-    width = max(code[0], 1).bit_length()
-    f = {_pack(code, width): 1}
-    for i in reversed(moves):
+    return _divided_difference_chain({tuple(code): 1}, reversed(moves))
+
+
+def _divided_difference_chain(
+    terms: Mapping[tuple[int, ...], int], moves: Iterable[int]
+) -> SparsePolynomial:
+    """Apply d_i for each i of moves in turn to the polynomial with terms.
+
+    The terms are packed once, with a field width of the bit length of
+    their largest exponent, at least 1 as the identity's code is all zeros,
+    and every step runs on packed keys.  No exponent of a quotient or a
+    remainder exceeds the largest one of its dividend, so no field carries
+    (unseen by the remainder check).  The entries that cancel to 0 are kept
+    between steps and dropped once, at the unpack into stripped tuples.
+    """
+    width = max((e for exp in terms for e in exp), default=0).bit_length() or 1
+    f = {_pack(exp, width): coef for exp, coef in terms.items()}
+    for i in moves:
         f = _divided_difference(f, i, width)
     return SparsePolynomial._trusted(
         {_unpack(key, width): coef for key, coef in f.items() if coef}

@@ -72,8 +72,8 @@ class RcGraph(Value):
     __slots__ = ("rows", "_word")
 
     def __init__(self, rows: tuple[tuple[bool, ...], ...]) -> None:
-        _set_rows(self, rows)
-        _set_word(self, None)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_word", None)
         m = len(self.rows)
         if m == 0:
             raise MalformedGridError("a pipe dream needs at least one row")
@@ -88,18 +88,6 @@ class RcGraph(Value):
                 )
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[bool, ...], ...],
-                 word: tuple[int, ...] | None = None) -> RcGraph:
-        """Wrap rows already known to form a staircase whose last cells are
-        elbows, skipping the checks of ``__init__``.  ``word``, if given,
-        is their exit word, which a listing or a transpose knows unswept."""
-        out = cls.__new__(cls)
-        # the slots' own setters, which the raising __setattr__ does not guard
-        _set_rows(out, rows)
-        _set_word(out, word)
-        return out
 
     @classmethod
     def from_crosses(cls, m: int, crosses: Iterable[tuple[int, int]]) -> RcGraph:
@@ -140,15 +128,6 @@ class RcGraph(Value):
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    def crosses(self) -> tuple[tuple[int, int], ...]:
-        """Cross cells in row-major order."""
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, c in enumerate(row, start=1)
-            if c
-        )
 
     # -- semantics ---------------------------------------------------------
 
@@ -211,18 +190,14 @@ class RcGraph(Value):
         )
 
     def to_json_dict(self) -> dict:
-        """The size and the cross cells, row-major as ``crosses()`` lists
-        them, read from the rows without building its tuples."""
+        """The size and the cross cells (i, j), 1-indexed, in row-major
+        order."""
         return {"m": self.m, "crosses": [
             [i, j]
             for i, row in enumerate(self.rows, start=1)
             for j, c in enumerate(row, start=1)
             if c
         ]}
-
-
-_set_rows = RcGraph.rows.__set__
-_set_word = RcGraph._word.__set__
 
 
 def _trace(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
@@ -358,8 +333,8 @@ def enumerate_rcgraphs(w: Permutation) -> list[RcGraph]:
     they are wrapped unchecked, each with the one exit word w^-1.word.
 
     One sort, True first, gives the canonical order, the row-major list of
-    crosses, ``crosses()``: every filling has l(w) crosses, so two
-    first differ at a cell where exactly one has a cross, which sorts first.
+    crosses: every filling has l(w) crosses, so two first differ at a cell
+    where exactly one has a cross, which sorts first.
     """
     word = w.inverse().word
     listing = fold_rcgraphs(

@@ -4,6 +4,8 @@ Each is an independent or earlier form of a library computation, kept
 here so the tests can compare the library against it.
 """
 
+from operator import lt
+
 from pipedreams.catalan import Partition
 from pipedreams.rcgraph import ChuteMoveError, RcGraph, inverse_chute_move
 
@@ -22,6 +24,16 @@ def part(p, k):
     return p.parts[k - 1] if 1 <= k <= len(p.parts) else 0
 
 
+def crosses(d):
+    """Cross cells of d in row-major order."""
+    return tuple(
+        (i, j)
+        for i, row in enumerate(d.rows, start=1)
+        for j, c in enumerate(row, start=1)
+        if c
+    )
+
+
 def elbows(d):
     """Elbow cells of d off the anti-diagonal, in row-major order."""
     return tuple(
@@ -30,6 +42,11 @@ def elbows(d):
         for j, c in enumerate(row[:-1], start=1)
         if not c
     )
+
+
+def strict(seq):
+    """Whether seq strictly increases."""
+    return all(map(lt, seq, seq[1:]))
 
 
 def chute_closure(start):
@@ -51,7 +68,7 @@ def chute_closure(start):
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
-    return sorted(seen, key=RcGraph.crosses)
+    return sorted(seen, key=crosses)
 
 
 def helper_inverse_chute_move(d, src, dst):

@@ -15,6 +15,7 @@ from pipedreams.verify import CheckResult
 from pipedreams.perm import (
     NotAPermutationError,
     Permutation,
+    Value,
     dominant_singular,
     local_equations_condition,
     longest_element,
@@ -264,3 +265,70 @@ class TestValueClasses:
         assert w.length == 2
         assert w._length == 2
         assert repr(w) == "Permutation(word=(3, 1, 2))"
+
+
+class Count(Value):
+    """A toy one-slot value class that refuses negative counts."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
+        if n < 0:
+            raise ValueError("counts are nonnegative")
+
+
+class Labelled(Value):
+    """A toy value class with a field and a private memo, None when unknown."""
+
+    __slots__ = ("label", "_memo")
+
+    def __init__(self, label: str) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_memo", None)
+
+
+class TestTrustedConstructor:
+    """Every Value subclass gets ``_trusted``, built from its own slots: it
+    skips ``__init__`` and the read-only guard, and what it builds behaves
+    as the validated instance does."""
+
+    @pytest.mark.parametrize("cls, args, text", [
+        (Count, (3,), "Count(n=3)"),
+        (Labelled, ("x",), "Labelled(label='x')"),
+        (Labelled, ("x", 7), "Labelled(label='x')"),
+    ])
+    def test_matches_the_validated_instance(self, cls, args, text):
+        trusted, validated = cls._trusted(*args), cls(args[0])
+        assert type(trusted) is cls
+        assert trusted == validated and hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated) == text
+        assert pickle.loads(pickle.dumps(trusted)) == validated
+        assert not hasattr(trusted, "__dict__")
+        for name in type(trusted).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(trusted, name, None)
+
+    def test_skips_the_checks_and_the_read_only_guard(self):
+        with pytest.raises(ValueError):
+            Count(-1)
+        assert Count._trusted(-1).n == -1
+        with pytest.raises(TypeError):
+            Count._trusted(1, 2)
+
+    def test_an_omitted_second_slot_reads_none(self):
+        assert Labelled._trusted("x")._memo is None
+        assert Labelled._trusted("x", 7)._memo == 7
+        assert pickle.loads(pickle.dumps(Labelled._trusted("x", 7)))._memo is None
+
+    @pytest.mark.parametrize("slots", [(), ("a", "b", "c")])
+    def test_other_slot_counts_fail_at_class_creation(self, slots):
+        with pytest.raises(TypeError, match="not 1 or 2"):
+            type("Bad", (Value,), {"__slots__": slots})
+
+    def test_an_inverse_counts_its_length_once(self):
+        inverse = Permutation((3, 1, 2)).inverse()
+        assert inverse == Permutation((2, 3, 1))
+        assert inverse._length is None
+        assert inverse.length == 2
+        assert inverse._length == 2

@@ -27,7 +27,7 @@ from pipedreams.rcgraph import (
     zigzag_index,
 )
 
-from oracles import chute_closure, elbows, helper_inverse_chute_move
+from oracles import chute_closure, crosses, elbows, helper_inverse_chute_move
 
 # The five fillings for 1,4,3,2 with their monomials and weights.
 FIGURE_FAMILY = [
@@ -114,7 +114,7 @@ class TestValidate:
         w = make_perm([1, 4, 3, 2])
         for d in figure_graphs():
             for cell in elbows(d):
-                mutated = RcGraph.from_crosses(4, d.crosses() + (cell,))
+                mutated = RcGraph.from_crosses(4, crosses(d) + (cell,))
                 try:
                     traced = mutated.permutation()
                 except NotReducedError:
@@ -135,7 +135,7 @@ class TestValidate:
             assert outcome(zigzag_index, d) == outcome(
                 zigzag_index_reference, d
             ), d.rows
-            assert d.weight() == sum(i - 1 for i, _ in d.crosses())
+            assert d.weight() == sum(i - 1 for i, _ in crosses(d))
 
     def test_cross_on_antidiagonal_rejected(self):
         with pytest.raises(CrossOnAntiDiagonalError) as exc:
@@ -171,7 +171,7 @@ class TestValidate:
 
 class TestBottom:
     def test_n3_is_first_figure_graph(self):
-        assert bottom_rcgraph(3).crosses() == ((2, 1), (2, 2), (3, 1))
+        assert crosses(bottom_rcgraph(3)) == ((2, 1), (2, 2), (3, 1))
 
     def test_traces_zigzag(self):
         for n in range(7):
@@ -183,8 +183,8 @@ class TestBottom:
     def test_first_row_all_elbows(self):
         for n in range(1, 7):
             d = bottom_rcgraph(n)
-            assert not any(i == 1 for i, _ in d.crosses())
-            decidable = sum(1 for i, _ in d.crosses())
+            assert not any(i == 1 for i, _ in crosses(d))
+            decidable = sum(1 for i, _ in crosses(d))
             assert decidable == zigzag(n).length
 
 
@@ -204,7 +204,7 @@ class TestWeightAndMonomial:
 class TestEnumerate:
     def test_figure_family_exactly(self):
         got = enumerate_rcgraphs(make_perm([1, 4, 3, 2]))
-        assert sorted(g.crosses() for g in got) == sorted(
+        assert sorted(crosses(g) for g in got) == sorted(
             crosses for crosses, _, _ in FIGURE_FAMILY
         )
 
@@ -224,7 +224,7 @@ class TestEnumerate:
             assert len(set(graphs)) == len(graphs)
             for d in graphs:
                 assert d.permutation() == w
-                assert len(d.crosses()) == w.length
+                assert len(crosses(d)) == w.length
 
     def test_deterministic_order(self):
         w = make_perm([2, 1, 4, 3])
@@ -251,7 +251,7 @@ class TestEnumerateOracles:
         # the key is crosses(): the fillings of one w share their m
         for word in permutations(range(1, m + 1)):
             got = enumerate_rcgraphs(make_perm(word))
-            assert got == sorted(got, key=RcGraph.crosses), word
+            assert got == sorted(got, key=crosses), word
 
     @pytest.mark.parametrize("perms, digest", [
         ([make_perm(word) for m in range(1, 8)
@@ -327,7 +327,7 @@ class TestChuteMoves:
     def test_surjection_first_move_on_bottom3(self):
         # carrying the cross at (3, 1) up to (1, 2): the move for a size-2 part
         d = inverse_chute_move(bottom_rcgraph(3), (1, 2), (3, 1))
-        assert d.crosses() == ((1, 2), (2, 1), (2, 2))
+        assert crosses(d) == ((1, 2), (2, 1), (2, 2))
         assert d.permutation() == zigzag(3)
 
     def test_condition_two_violation(self):
@@ -389,7 +389,7 @@ class TestChuteMoves:
                             except ChuteMoveError:
                                 continue
                             assert moved.permutation() == zigzag(n)
-                            assert len(moved.crosses()) == len(d.crosses())
+                            assert len(crosses(moved)) == len(crosses(d))
 
     def test_closure_from_bottom_reaches_everything(self):
         for n in range(1, 6):
@@ -450,7 +450,7 @@ class TestSplit:
         k, south, north = split(bottom_rcgraph(1))
         assert k == 1
         assert south.m == 1 and north.m == 1
-        assert len(south.crosses()) == len(north.crosses()) == 0
+        assert len(crosses(south)) == len(crosses(north)) == 0
 
     def test_weight_identity_n4(self):
         n = 4
@@ -516,23 +516,23 @@ def split_by_cross_lists(d):
     k = max(r for r in range(1, n + 1) if not d.rows[r - 1][0])
     south = RcGraph.from_crosses(
         n - k + 1,
-        [(i - k + 1, j - 1) for i, j in d.crosses() if i >= k and 2 <= j <= n + 2 - k],
+        [(i - k + 1, j - 1) for i, j in crosses(d) if i >= k and 2 <= j <= n + 2 - k],
     )
     north = RcGraph.from_crosses(
         k,
-        [(i, 1) for i, j in d.crosses() if j == 1 and i <= k]
-        + [(i, j - (n + 1 - k)) for i, j in d.crosses() if j >= n + 3 - k],
+        [(i, 1) for i, j in crosses(d) if j == 1 and i <= k]
+        + [(i, j - (n + 1 - k)) for i, j in crosses(d) if j >= n + 3 - k],
     )
     return k, south, north
 
 
 def unsplit_by_cross_lists(n, k, south, north):
     """Reference unsplit: the forced crosses plus both parts' cross cells."""
-    crosses = [(r, c) for r in range(1, k) for c in range(2, n + 3 - k)]
-    crosses += [(r, 1) for r in range(k + 1, n + 1)]
-    crosses += [(i + k - 1, j + 1) for i, j in south.crosses()]
-    crosses += [(i, 1) if j == 1 else (i, j + n + 1 - k) for i, j in north.crosses()]
-    return RcGraph.from_crosses(n + 1, crosses)
+    cells = [(r, c) for r in range(1, k) for c in range(2, n + 3 - k)]
+    cells += [(r, 1) for r in range(k + 1, n + 1)]
+    cells += [(i + k - 1, j + 1) for i, j in crosses(south)]
+    cells += [(i, 1) if j == 1 else (i, j + n + 1 - k) for i, j in crosses(north)]
+    return RcGraph.from_crosses(n + 1, cells)
 
 
 def ref_split(d):
@@ -568,7 +568,7 @@ def without_one_forced_cross(d):
     for r in range(1, k):
         for c in range(2, n + 3 - k):
             yield RcGraph.from_crosses(
-                d.m, [x for x in d.crosses() if x != (r, c)])
+                d.m, [x for x in crosses(d) if x != (r, c)])
 
 
 class TestSplitOracle:
@@ -705,7 +705,7 @@ class TestRowBuildersMatchCrossLists:
         for n in range(0, 8):
             for d in enumerate_rcgraphs(zigzag(n)):
                 assert d.transpose() == RcGraph.from_crosses(
-                    d.m, [(j, i) for i, j in d.crosses()]
+                    d.m, [(j, i) for i, j in crosses(d)]
                 )
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -713,7 +713,7 @@ class TestRowBuildersMatchCrossLists:
         for word in permutations(range(1, m + 1)):
             for d in enumerate_rcgraphs(make_perm(word)):
                 assert d.transpose() == RcGraph.from_crosses(
-                    m, [(j, i) for i, j in d.crosses()]
+                    m, [(j, i) for i, j in crosses(d)]
                 )
 
     def test_bottom(self):
